@@ -39,13 +39,15 @@ func runEngineReport(t *testing.T, cfg Config, engine string, desc stochastic.De
 
 // checkEngineIdentity requires the process and compact engines to produce
 // byte-identical reports for the same machine and workload — the equivalence
-// contract of the compact engine (see compact.go).
-func checkEngineIdentity(t *testing.T, cfg Config, desc stochastic.Desc) {
+// contract of the compact engine (see compact.go) — and pins the process
+// engine's report as testdata/identity-<name>.report.txt.
+func checkEngineIdentity(t *testing.T, name string, cfg Config, desc stochastic.Desc) {
 	t.Helper()
 	ref := runEngineReport(t, cfg, EngineProcess, desc)
 	if !strings.Contains(ref, "messages") {
 		t.Fatalf("reference report looks empty:\n%s", ref)
 	}
+	checkGolden(t, "identity-"+name+".report.txt", []byte(ref))
 	got := runEngineReport(t, cfg, EngineCompact, desc)
 	if got != ref {
 		t.Errorf("compact engine report differs from process engine\n--- process ---\n%s\n--- compact ---\n%s", ref, got)
@@ -64,7 +66,7 @@ func TestCompactEngineByteIdenticalSAF(t *testing.T) {
 	// and size jitter — the transputer-style machine.
 	cfg := T805GridTaskLevel(4, 4)
 	cfg.Seed = 42
-	checkEngineIdentity(t, cfg, taskDesc(16, 11, stochastic.Phase{
+	checkEngineIdentity(t, "saf", cfg, taskDesc(16, 11, stochastic.Phase{
 		Duration: 2500, CV: 0.4,
 		Comm: stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 1024, Jitter: true},
 	}))
@@ -76,7 +78,7 @@ func TestCompactEngineByteIdenticalVCTValiant(t *testing.T) {
 	cfg := GenericTaskMachine(topology.Config{Kind: topology.Torus2D, DimX: 4, DimY: 4}, 16, router.VirtualCutThrough)
 	cfg.Network.Router.Routing = router.Valiant
 	cfg.Seed = 7
-	checkEngineIdentity(t, cfg, taskDesc(16, 3, stochastic.Phase{
+	checkEngineIdentity(t, "vct-valiant", cfg, taskDesc(16, 3, stochastic.Phase{
 		Duration: 1200, CV: 0.2,
 		Comm: stochastic.Comm{Pattern: stochastic.RandomPairs, Bytes: 2048},
 	}))
@@ -87,7 +89,7 @@ func TestCompactEngineByteIdenticalWormholeTorus3D(t *testing.T) {
 	// virtual-channel switching and async (arecv/waitrecv) completion.
 	cfg := GenericTaskMachine(topology.Config{Kind: topology.Torus3D, DimX: 3, DimY: 3, DimZ: 3}, 27, router.Wormhole)
 	cfg.Seed = 5
-	checkEngineIdentity(t, cfg, taskDesc(27, 9, stochastic.Phase{
+	checkEngineIdentity(t, "wormhole-torus3d", cfg, taskDesc(27, 9, stochastic.Phase{
 		Duration: 2000, CV: 0.3,
 		Comm: stochastic.Comm{Pattern: stochastic.Exchange, Bytes: 512, Async: true},
 	}, stochastic.Phase{
@@ -104,7 +106,7 @@ func TestCompactEngineByteIdenticalAdaptiveFatTree(t *testing.T) {
 	cfg := GenericTaskMachine(topology.Config{Kind: topology.FatTree, Arity: 4, Levels: 2}, 24, router.VirtualCutThrough)
 	cfg.Network.Router.Routing = router.Adaptive
 	cfg.Seed = 13
-	checkEngineIdentity(t, cfg, taskDesc(24, 21, stochastic.Phase{
+	checkEngineIdentity(t, "adaptive-fattree", cfg, taskDesc(24, 21, stochastic.Phase{
 		Duration: 900, CV: 0.5,
 		Comm: stochastic.Comm{Pattern: stochastic.Hotspot, Bytes: 4096, Jitter: true},
 	}))
@@ -113,7 +115,7 @@ func TestCompactEngineByteIdenticalAdaptiveFatTree(t *testing.T) {
 func TestCompactEngineByteIdenticalDragonfly(t *testing.T) {
 	cfg := GenericTaskMachine(topology.Config{Kind: topology.Dragonfly, Routers: 2, Globals: 2, Groups: 5}, 10, router.Wormhole)
 	cfg.Seed = 23
-	checkEngineIdentity(t, cfg, taskDesc(10, 31, stochastic.Phase{
+	checkEngineIdentity(t, "dragonfly", cfg, taskDesc(10, 31, stochastic.Phase{
 		Duration: 1500, CV: 0.3,
 		Comm: stochastic.Comm{Pattern: stochastic.AllToAll, Bytes: 768},
 	}))
@@ -133,7 +135,7 @@ func TestCompactEngineByteIdenticalUnderFaults(t *testing.T) {
 			MaxRetries: 12,
 		},
 	}
-	checkEngineIdentity(t, cfg, taskDesc(9, 17, stochastic.Phase{
+	checkEngineIdentity(t, "faults", cfg, taskDesc(9, 17, stochastic.Phase{
 		Duration: 2000, CV: 0.4,
 		Comm: stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 1024, Jitter: true},
 	}))
