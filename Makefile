@@ -35,26 +35,24 @@ test:
 experiments:
 	go run ./cmd/mermaid -experiment all
 
-# Kernel micro-benchmarks plus the end-to-end slowdown benchmarks, six
-# repetitions each so medians are stable; BENCH_kernel.json tracks the
-# before/after summary of the allocation-free kernel work and
-# BENCH_analysis.json the measured overhead of the bottleneck engine
-# (BenchmarkAnalyzerOff vs BenchmarkAnalyzerOn).
+# Kernel micro-benchmarks plus the end-to-end slowdown benchmarks and the
+# overhead of the bottleneck engine (BenchmarkAnalyzerOff vs
+# BenchmarkAnalyzerOn), six repetitions each so medians are stable.
 bench:
 	go test -run '^$$' -bench . -benchmem -count=6 ./internal/pearl
 	go test -run '^$$' -bench Slowdown -benchmem -count=6 .
 	go test -run '^$$' -bench Analyzer -benchmem -count=6 ./internal/analysis
 
-# Parallel-engine benchmark: the legacy single-kernel engine against the
+# Parallel-engine benchmark: the single-kernel fabric against the
 # conservative parallel engine at 1 and 4 shards on a 64-node task-level
-# T805 grid (BenchmarkShardedT805); BENCH_pdes.json tracks the medians.
+# T805 grid (BenchmarkShardedT805).
 bench-pdes:
 	go test -run '^$$' -bench ShardedT805 -benchmem -count=6 .
 
 # Million-node scale benchmarks: per-hop cost of the purely algorithmic
 # routing on 1M-node hierarchical topologies (BenchmarkScaleRouting) and
-# process- vs compact-engine host time on growing task-level machines
-# (BenchmarkScaleEngine); BENCH_scale.json tracks the medians.
+# the network fabric's host time on growing task-level machines
+# (BenchmarkScaleEngine).
 bench-scale:
 	go test -run '^$$' -bench ScaleRouting -benchmem -count=6 ./internal/topology
 	go test -run '^$$' -bench ScaleEngine -benchmem -count=6 ./internal/machine

@@ -653,14 +653,13 @@ func BenchmarkRouting(b *testing.B) {
 	}
 }
 
-// E11: the conservative parallel engine against the legacy single-kernel
-// engine on a 64-node task-level T805 grid with exchange traffic — the
+// E11: the conservative parallel engine against the single-kernel fabric on
+// a 64-node task-level T805 grid with exchange traffic — the
 // communication-bound regime where the network transport dominates host
-// time. The sharded engine replaces the legacy per-packet goroutine
-// processes with event-driven transport, so shards1 measures that
-// constant-factor engine change alone and shards4 adds the window-parallel
-// execution across host cores (on a single-core host shards4 only adds
-// barrier overhead on top of shards1).
+// time. shards1 measures the sharded transport's window and arbitration
+// overhead alone; shards4 adds the window-parallel execution across host
+// cores (on a single-core host shards4 only adds barrier overhead on top
+// of shards1).
 func BenchmarkShardedT805(b *testing.B) {
 	desc := stochastic.Desc{
 		Nodes: 64, Level: stochastic.TaskLevel, Seed: 17, Iterations: 40,
@@ -671,7 +670,7 @@ func BenchmarkShardedT805(b *testing.B) {
 	}
 	for _, shards := range []int{0, 1, 4} {
 		shards := shards
-		name := "legacy"
+		name := "single-kernel"
 		if shards > 0 {
 			name = fmt.Sprintf("shards%d", shards)
 		}

@@ -77,7 +77,7 @@ func pipelineMain(args []string) error {
 			if err := writeFileWith(*outPath, rep.WriteJSON); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "mermaid: wrote %s (%d changed deterministic metrics)\n", *outPath, rep.Changed)
+			fmt.Fprintf(os.Stderr, "mermaid: wrote %s (%d changed deterministic metrics and artifacts)\n", *outPath, rep.Changed)
 			return nil
 		}
 		return rep.WriteJSON(os.Stdout)

@@ -3,8 +3,8 @@
 // shared resource (bus channels, DRAM ports, network links, routers) and
 // every CPU registers a uniform busy/wait accounting hook with the
 // Collector; during the run the node and processor models feed it
-// compute/communication spans and the kernel tracer feeds it blocked
-// intervals. After the run, Analyze folds all of it into a Report: a per-CPU
+// compute/communication spans, and the kernel tracer and the network fabric
+// feed it blocked intervals. After the run, Analyze folds all of it into a Report: a per-CPU
 // virtual-time decomposition that sums exactly to the run length, a
 // per-resource utilization and queue-wait table, a critical-path walk
 // attributing end-to-end runtime to components, and a ranked bottleneck
@@ -184,8 +184,9 @@ func (c *Collector) Recv(cpu int, peer int32, op string, from, to pearl.Time) {
 
 // ProcessSpan implements pearl.Tracer: blocked intervals are aggregated by
 // block reason, giving the report its "who waited on what" table. It fires
-// for every process — CPU runners, packet worms, drain daemons — so resource
-// queueing shows up no matter which process paid for it.
+// for every process — CPU runners, DSM handlers, drain daemons — and the
+// network fabric calls it for its parked packets and task-level nodes, so
+// resource queueing shows up no matter who paid for it.
 func (c *Collector) ProcessSpan(_ *pearl.Process, from, to pearl.Time, reason string) {
 	if c == nil || to <= from {
 		return

@@ -4,18 +4,22 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mermaid/internal/analysis"
+	"mermaid/internal/fault"
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/router"
 	"mermaid/internal/sim"
 	"mermaid/internal/stats"
 	"mermaid/internal/stochastic"
+	"mermaid/internal/topology"
 	"mermaid/internal/workload"
 )
 
@@ -113,6 +117,130 @@ func checkGoldenRun(t *testing.T, name string, r goldenRun, hashTimeline bool) {
 	checkGolden(t, name+".bottleneck.json", r.bottleneck)
 }
 
+// runReport builds cfg with a probe and runs the stochastic description,
+// returning the rendered report (with the registry dump, so metric names and
+// ordering are compared too).
+func runReport(t *testing.T, cfg Config, desc stochastic.Desc) []byte {
+	t.Helper()
+	return runGolden(t, cfg, false, func(m *Machine) (*Result, error) { return m.RunStochastic(desc) }).report
+}
+
+// checkEngineIdentity pins the report of one task-level machine and workload
+// as testdata/identity-<name>.report.txt. The files were produced by the
+// process-per-node engine the fabric replaced, so each test checks that the
+// fabric still reproduces it byte for byte.
+func checkEngineIdentity(t *testing.T, name string, cfg Config, desc stochastic.Desc) {
+	t.Helper()
+	checkGolden(t, "identity-"+name+".report.txt", runReport(t, cfg, desc))
+}
+
+func taskDesc(nodes int, seed uint64, phases ...stochastic.Phase) stochastic.Desc {
+	return stochastic.Desc{
+		Name: "engine-identity", Nodes: nodes, Level: stochastic.TaskLevel,
+		Seed: seed, Iterations: 6, Phases: phases,
+	}
+}
+
+func TestCompactEngineByteIdenticalSAF(t *testing.T) {
+	// Store-and-forward, synchronous rendezvous traffic with load imbalance
+	// and size jitter — the transputer-style machine.
+	cfg := T805GridTaskLevel(4, 4)
+	cfg.Seed = 42
+	checkEngineIdentity(t, "saf", cfg, taskDesc(16, 11, stochastic.Phase{
+		Duration: 2500, CV: 0.4,
+		Comm: stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 1024, Jitter: true},
+	}))
+}
+
+func TestCompactEngineByteIdenticalVCTValiant(t *testing.T) {
+	// Virtual cut-through with Valiant routing: the random intermediate
+	// draws must land in the same RNG-stream order on both engines.
+	cfg := GenericTaskMachine(topology.Config{Kind: topology.Torus2D, DimX: 4, DimY: 4}, 16, router.VirtualCutThrough)
+	cfg.Network.Router.Routing = router.Valiant
+	cfg.Seed = 7
+	checkEngineIdentity(t, "vct-valiant", cfg, taskDesc(16, 3, stochastic.Phase{
+		Duration: 1200, CV: 0.2,
+		Comm: stochastic.Comm{Pattern: stochastic.RandomPairs, Bytes: 2048},
+	}))
+}
+
+func TestCompactEngineByteIdenticalWormholeTorus3D(t *testing.T) {
+	// Wormhole switching on a 3-D torus: multi-channel worms, dateline
+	// virtual-channel switching and async (arecv/waitrecv) completion.
+	cfg := GenericTaskMachine(topology.Config{Kind: topology.Torus3D, DimX: 3, DimY: 3, DimZ: 3}, 27, router.Wormhole)
+	cfg.Seed = 5
+	checkEngineIdentity(t, "wormhole-torus3d", cfg, taskDesc(27, 9, stochastic.Phase{
+		Duration: 2000, CV: 0.3,
+		Comm: stochastic.Comm{Pattern: stochastic.Exchange, Bytes: 512, Async: true},
+	}, stochastic.Phase{
+		Duration: 800,
+		Comm:     stochastic.Comm{Pattern: stochastic.AllToAll, Bytes: 128},
+	}))
+}
+
+func TestCompactEngineByteIdenticalAdaptiveFatTree(t *testing.T) {
+	// Adaptive routing on a fat-tree: port choice depends on instantaneous
+	// channel load, so any event-order divergence shows up as a different
+	// path mix.
+	// 16 hosts plus 4+4 switches: fat-tree switches are addressable nodes.
+	cfg := GenericTaskMachine(topology.Config{Kind: topology.FatTree, Arity: 4, Levels: 2}, 24, router.VirtualCutThrough)
+	cfg.Network.Router.Routing = router.Adaptive
+	cfg.Seed = 13
+	checkEngineIdentity(t, "adaptive-fattree", cfg, taskDesc(24, 21, stochastic.Phase{
+		Duration: 900, CV: 0.5,
+		Comm: stochastic.Comm{Pattern: stochastic.Hotspot, Bytes: 4096, Jitter: true},
+	}))
+}
+
+func TestCompactEngineByteIdenticalDragonfly(t *testing.T) {
+	cfg := GenericTaskMachine(topology.Config{Kind: topology.Dragonfly, Routers: 2, Globals: 2, Groups: 5}, 10, router.Wormhole)
+	cfg.Seed = 23
+	checkEngineIdentity(t, "dragonfly", cfg, taskDesc(10, 31, stochastic.Phase{
+		Duration: 1500, CV: 0.3,
+		Comm: stochastic.Comm{Pattern: stochastic.AllToAll, Bytes: 768},
+	}))
+}
+
+func TestCompactEngineByteIdenticalUnderFaults(t *testing.T) {
+	// Link down-windows, packet noise and retransmission: the lazy re-path
+	// table, per-hop fate draws and backoff timers must fire identically.
+	cfg := T805GridTaskLevel(3, 3)
+	cfg.Seed = 99
+	cfg.Faults = &fault.Schedule{
+		Links: []fault.LinkFault{{A: 0, B: 1, Window: fault.Window{From: 5_000, To: 400_000}}},
+		Noise: []fault.LinkNoise{{A: -1, B: -1, Drop: 0.02}},
+		Retrans: fault.Retrans{
+			Timeout:    300,
+			Backoff:    2,
+			MaxRetries: 12,
+		},
+	}
+	checkEngineIdentity(t, "faults", cfg, taskDesc(9, 17, stochastic.Phase{
+		Duration: 2000, CV: 0.4,
+		Comm: stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 1024, Jitter: true},
+	}))
+}
+
+// TestConfigRejectsEngineKey: the "engine" key chose between two network
+// engines that are now one fabric. A file that still names it fails the
+// unknown-field check instead of being silently accepted.
+func TestConfigRejectsEngineKey(t *testing.T) {
+	cfg := T805GridTaskLevel(2, 2)
+	cfg.Version = ConfigVersion
+	data, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseConfig(data); err != nil {
+		t.Fatalf("config without engine key: %v", err)
+	}
+	withEngine := strings.Replace(string(data), `{`, `{"engine":"compact",`, 1)
+	_, err = ParseConfig([]byte(withEngine))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "engine"`) {
+		t.Fatalf("config naming engine: err = %v, want an unknown-field error", err)
+	}
+}
+
 // TestGoldenTaskT805Instrumented pins a task-level run with the timeline and
 // the bottleneck collector attached: link tracks and packet spans, CPU and
 // link/router rows, and the blocked-interval table.
@@ -152,6 +280,71 @@ func TestGoldenDetailed(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkGoldenRun(t, tc.name, runGolden(t, tc.cfg, true, tc.run), true)
+		})
+	}
+}
+
+// TestInstrumentationDoesNotPerturb: attaching the timeline and the
+// bottleneck collector must not change a run. Cycles, events and the
+// rendered report (less the probe registry, present only with a probe) are
+// compared with and without instrumentation.
+func TestInstrumentationDoesNotPerturb(t *testing.T) {
+	task := T805GridTaskLevel(3, 3)
+	task.Seed = 8
+	desc := taskDesc(9, 2, stochastic.Phase{
+		Duration: 900, CV: 0.4,
+		Comm: stochastic.Comm{Pattern: stochastic.RandomPairs, Bytes: 700, Jitter: true},
+	})
+	detailed := T805Grid(3, 3)
+	detailed.Seed = 6
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		run  func(m *Machine) (*Result, error)
+	}{
+		{"task", task, func(m *Machine) (*Result, error) { return m.RunStochastic(desc) }},
+		{"detailed", detailed, func(m *Machine) (*Result, error) { return m.RunProgram(workload.Jacobi1D(9, 90, 2)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(instrument bool) (*Result, string) {
+				env := sim.NewEnv(tc.cfg.Seed, nil)
+				if instrument {
+					env.Probe = probe.New(probe.Config{Timeline: true})
+					env.Collect = analysis.New()
+				}
+				m, err := Build(env, tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := tc.run(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if instrument && (res.Analysis == nil || env.Timeline().Events() == 0) {
+					t.Fatal("instrumented run recorded nothing")
+				}
+				kept := res.Stats.Subsets[:0:0]
+				for _, s := range res.Stats.Subsets {
+					if s.Name != "registry" {
+						kept = append(kept, s)
+					}
+				}
+				res.Stats.Subsets = kept
+				var b bytes.Buffer
+				if err := stats.RenderSet(&b, res.Stats); err != nil {
+					t.Fatal(err)
+				}
+				return res, b.String()
+			}
+			off, offReport := run(false)
+			on, onReport := run(true)
+			if on.Cycles != off.Cycles || on.Events != off.Events {
+				t.Errorf("instrumented run: %d cycles, %d events; plain run: %d cycles, %d events",
+					on.Cycles, on.Events, off.Cycles, off.Events)
+			}
+			if onReport != offReport {
+				t.Errorf("instrumentation changed the report\n--- plain ---\n%s\n--- instrumented ---\n%s", offReport, onReport)
+			}
 		})
 	}
 }

@@ -53,30 +53,11 @@ const (
 // beyond ConfigVersion are rejected. Version history:
 //
 //	v1 — adds the Faults block.
-//	v2 — adds the Engine selector and the hierarchical topology families
-//	     (torus3d, fattree, dragonfly).
+//	v2 — adds the hierarchical topology families (torus3d, fattree,
+//	     dragonfly). It also added an "engine" key choosing between two
+//	     single-kernel network engines; there is one fabric now, and a
+//	     file that still names the key is rejected as an unknown field.
 const ConfigVersion = 2
-
-// Engine selects the task-level execution engine.
-//
-// The process engine runs one simulation process per node — fully featured
-// (timeline probes, bottleneck collector) but with per-node goroutine cost.
-// The compact engine steps a flat struct-of-arrays node state machine with
-// plain kernel events: byte-identical reports, two orders of magnitude less
-// memory per node, no scheduler handoffs — the only way to 10^5..10^6-node
-// machines. EngineAuto (or empty) picks compact for large task-level machines
-// when no process-level instrumentation is attached.
-const (
-	EngineAuto    = "auto"
-	EngineProcess = "process"
-	EngineCompact = "compact"
-)
-
-// CompactAutoThreshold is the node count at which EngineAuto switches a
-// task-level machine to the compact engine. Below it the engines are
-// indistinguishable in output and close enough in speed that the fully
-// instrumentable process engine stays the default.
-const CompactAutoThreshold = 4096
 
 // Config describes a complete machine.
 type Config struct {
@@ -113,11 +94,6 @@ type Config struct {
 	// engine. Requires a networked machine; wormhole switching, non-minimal
 	// routing, and DSM are not supported (see DESIGN.md §8).
 	Shards int `json:"shards,omitempty"`
-	// Engine selects the task-level execution engine: EngineAuto (or empty),
-	// EngineProcess, or EngineCompact (schema v2; see DESIGN.md §9). Only
-	// meaningful for single-kernel task-level machines; detailed mode and the
-	// parallel engine always use processes.
-	Engine string `json:"engine,omitempty"`
 }
 
 // Validate checks the configuration's cross-component consistency.
@@ -158,19 +134,6 @@ func (c *Config) Validate() error {
 		if err := c.Faults.Validate(c.Nodes); err != nil {
 			return err
 		}
-	}
-	switch c.Engine {
-	case "", EngineAuto, EngineProcess:
-	case EngineCompact:
-		if c.Mode != TaskLevel {
-			return fmt.Errorf("machine: the compact engine is task-level only; detailed nodes need processes")
-		}
-		if c.Shards > 0 {
-			return fmt.Errorf("machine: the compact engine is single-kernel; drop shards or use engine %q", EngineProcess)
-		}
-	default:
-		return fmt.Errorf("machine: unknown engine %q (want %q, %q or %q)",
-			c.Engine, EngineAuto, EngineProcess, EngineCompact)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("machine: %d shards", c.Shards)
@@ -213,11 +176,8 @@ func ParseConfig(data []byte) (Config, error) {
 		}
 		fallthrough
 	case 1:
-		// v1 predates the engine selector and the hierarchical topology
-		// families; either appearing in an older file is a mistake.
-		if cfg.Engine != "" {
-			return Config{}, fmt.Errorf("machine: engine selector requires config version 2")
-		}
+		// v1 predates the hierarchical topology families; one appearing in
+		// an older file is a mistake.
 		if topology.Hierarchical(cfg.Network.Topology.Kind) {
 			return Config{}, fmt.Errorf("machine: topology %q requires config version 2", cfg.Network.Topology.Kind)
 		}
@@ -239,9 +199,7 @@ type Machine struct {
 	k     *pearl.Kernel
 	pb    *probe.Probe
 	net   *network.Network
-	cnet  *network.CompactNet
 	nodes []*node.Node
-	procs []*network.Processor
 	dsm   *dsm.Layer
 	inj   *fault.Injector
 	mon   *Monitor
@@ -250,12 +208,14 @@ type Machine struct {
 	// Parallel-engine state (nil/empty when cfg.Shards == 0): the shard
 	// group, the sharded fabric, the node→shard map, and the per-shard
 	// construction environments (kernel, RNG root, probe). k then aliases
-	// shard 0's kernel; net stays nil and snet carries the fabric.
+	// shard 0's kernel; net stays nil and snet carries the fabric, driven at
+	// task level by one process per node.
 	group *pearl.ShardGroup
 	snet  *network.ShardedNetwork
 	part  []int
 	envs  []sim.Env
 	injs  []*fault.Injector
+	procs []*shardProc
 }
 
 // New builds the machine in a fresh environment seeded from the
@@ -308,27 +268,15 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 		if cfg.Network.Topology.Kind == "" {
 			return nil, fmt.Errorf("machine: %d nodes but no topology", cfg.Nodes)
 		}
-		if cfg.useCompact(env) {
-			cn, err := network.NewCompact(env, cfg.Network)
-			if err != nil {
-				return nil, err
-			}
-			if cn.Nodes() != cfg.Nodes {
-				return nil, fmt.Errorf("machine: %d nodes but topology %s has %d",
-					cfg.Nodes, cn.Topology().Name(), cn.Nodes())
-			}
-			m.cnet = cn
-		} else {
-			net, err := network.New(env, cfg.Network)
-			if err != nil {
-				return nil, err
-			}
-			if net.Nodes() != cfg.Nodes {
-				return nil, fmt.Errorf("machine: %d nodes but topology %s has %d",
-					cfg.Nodes, net.Topology().Name(), net.Nodes())
-			}
-			m.net = net
+		net, err := network.New(env, cfg.Network)
+		if err != nil {
+			return nil, err
 		}
+		if net.Nodes() != cfg.Nodes {
+			return nil, fmt.Errorf("machine: %d nodes but topology %s has %d",
+				cfg.Nodes, net.Topology().Name(), net.Nodes())
+		}
+		m.net = net
 	}
 	if cfg.Mode == Detailed {
 		for i := 0; i < cfg.Nodes; i++ {
@@ -356,48 +304,14 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 	if !cfg.Faults.Empty() {
 		// Registered last so that with an empty schedule the metric registry
 		// and timeline are bit-identical to a build without the subsystem.
-		inj, err := fault.NewInjector(k, m.topology(), *cfg.Faults, env.RNG, env.Probe)
+		inj, err := fault.NewInjector(k, m.net.Topology(), *cfg.Faults, env.RNG, env.Probe)
 		if err != nil {
 			return nil, err
 		}
 		m.inj = inj
-		if m.cnet != nil {
-			m.cnet.AttachFaults(inj)
-		} else {
-			m.net.AttachFaults(inj)
-		}
+		m.net.AttachFaults(inj)
 	}
 	return m, nil
-}
-
-// useCompact resolves the engine selection for this build. Forcing
-// EngineCompact with a timeline or collector attached is left to
-// network.NewCompact, which rejects it with a descriptive error; EngineAuto
-// quietly keeps the process engine in that case, since the user asked for
-// instrumentation the compact engine cannot feed.
-func (c *Config) useCompact(env sim.Env) bool {
-	if c.Mode != TaskLevel || c.Shards > 0 {
-		return false
-	}
-	switch c.Engine {
-	case EngineCompact:
-		return true
-	case "", EngineAuto:
-		return c.Nodes >= CompactAutoThreshold && env.Timeline() == nil && !env.Collect.Enabled()
-	}
-	return false
-}
-
-// topology returns the interconnect of whichever fabric the machine was
-// built with, or nil for single-node machines.
-func (m *Machine) topology() topology.Topology {
-	switch {
-	case m.cnet != nil:
-		return m.cnet.Topology()
-	case m.net != nil:
-		return m.net.Topology()
-	}
-	return nil
 }
 
 // Faults returns the fault injector, or nil when the configuration schedules
@@ -420,13 +334,16 @@ func (m *Machine) ShardGroup() *pearl.ShardGroup { return m.group }
 // analyzer is off.
 func (m *Machine) Collector() *analysis.Collector { return m.col }
 
-// Network returns the process-engine communication model (nil for
-// single-node machines and under the compact or parallel engines).
+// Network returns the communication fabric (nil for single-node machines
+// and under the parallel engine, whose fabric is Sharded).
 func (m *Machine) Network() *network.Network { return m.net }
 
-// Compact returns the compact-engine communication model, or nil when the
-// machine runs on the process or parallel engine.
-func (m *Machine) Compact() *network.CompactNet { return m.cnet }
+// Compact returns the same fabric as Network.
+//
+// Deprecated: there is one single-kernel fabric; use Network. Compact stays
+// for callers written when a separate compact engine existed, such as the
+// benchmark harness under perfbench/.
+func (m *Machine) Compact() *network.Network { return m.net }
 
 // Nodes returns the node models (empty in task-level mode).
 func (m *Machine) Nodes() []*node.Node { return m.nodes }
@@ -453,51 +370,16 @@ func (m *Machine) attach(srcs []trace.Source) error {
 		}
 		return nil
 	}
-	if m.cnet != nil {
-		// Compact engine: the shared state machine consumes the streams
-		// directly; attach in ascending node order so the first-fetch events
-		// land in the same kernel order as process spawns would.
-		for i, src := range srcs {
-			m.cnet.Attach(i, src)
-		}
+	if m.snet != nil {
+		m.spawnShardProcs(srcs)
 		return nil
 	}
+	// Attach in ascending node order, so the first-fetch events fire in node
+	// order.
 	for i, src := range srcs {
-		pr := network.NewProcessor(m.nodeIf(i), src)
-		if m.col.Enabled() {
-			i := i
-			pr := pr
-			pr.Observe(m.col, i)
-			m.col.RegisterCPU(i, fmt.Sprintf("proc%d", i), func() analysis.CPUSample {
-				return analysis.CPUSample{
-					Compute:     pr.ComputeCycles(),
-					CommBlocked: pr.CommCycles(),
-				}
-			})
-		}
-		pr.Spawn(m.streamKernel(i))
-		m.procs = append(m.procs, pr)
+		m.net.Attach(i, src)
 	}
 	return nil
-}
-
-// nodeIf returns node i's network interface on whichever fabric the machine
-// was built with.
-func (m *Machine) nodeIf(i int) *network.NodeIf {
-	if m.snet != nil {
-		return m.snet.Node(i)
-	}
-	return m.net.Node(i)
-}
-
-// streamKernel returns the kernel that hosts node i's processes: the shard
-// kernel owning the node under the parallel engine, the machine kernel
-// otherwise.
-func (m *Machine) streamKernel(i int) *pearl.Kernel {
-	if m.group != nil {
-		return m.group.Kernel(m.part[i])
-	}
-	return m.k
 }
 
 // SetTaskSink attaches a task-trace writer to the given stream (detailed
@@ -561,12 +443,12 @@ func (m *Machine) Run(srcs []trace.Source) (*Result, error) {
 		}
 	}
 	for _, pr := range m.procs {
-		if err := pr.Err(); err != nil {
-			return nil, err
+		if pr.err != nil {
+			return nil, pr.err
 		}
 	}
-	if m.cnet != nil {
-		if err := m.cnet.Err(); err != nil {
+	if m.net != nil {
+		if err := m.net.Err(); err != nil {
 			return nil, err
 		}
 	}
@@ -622,10 +504,10 @@ func (m *Machine) checkDone() error {
 		done = done && nd.Done()
 	}
 	for _, pr := range m.procs {
-		done = done && pr.Done()
+		done = done && pr.done
 	}
-	if m.cnet != nil {
-		done = done && m.cnet.AllDone()
+	if m.net != nil {
+		done = done && m.net.AllDone()
 	}
 	if done {
 		return nil
@@ -636,8 +518,8 @@ func (m *Machine) checkDone() error {
 			blocked = append(blocked, fmt.Sprintf("%s (%s)", p.Name(), p.BlockReason()))
 		}
 	}
-	if m.cnet != nil {
-		blocked = append(blocked, m.cnet.Blocked()...)
+	if m.net != nil {
+		blocked = append(blocked, m.net.Blocked()...)
 	}
 	return &DeadlockError{Blocked: blocked}
 }
@@ -691,15 +573,14 @@ func (m *Machine) result(cycles pearl.Time, wall time.Duration) *Result {
 		root.Subsets = append(root.Subsets, nd.Stats())
 	}
 	for _, pr := range m.procs {
-		root.Subsets = append(root.Subsets, pr.Stats())
-	}
-	if m.cnet != nil {
-		for i := 0; i < m.cnet.Nodes(); i++ {
-			root.Subsets = append(root.Subsets, m.cnet.ProcStats(i))
-		}
-		root.Subsets = append(root.Subsets, m.cnet.Stats())
+		root.Subsets = append(root.Subsets, pr.stats())
 	}
 	if m.net != nil {
+		if m.cfg.Mode == TaskLevel {
+			for i := 0; i < m.net.Nodes(); i++ {
+				root.Subsets = append(root.Subsets, m.net.ProcStats(i))
+			}
+		}
 		root.Subsets = append(root.Subsets, m.net.Stats())
 	}
 	if m.snet != nil {

@@ -63,15 +63,10 @@ func (mon *Monitor) sample() {
 		busU /= float64(len(m.nodes))
 	}
 	mon.BusUtil.Append(now, busU)
-	switch {
-	case m.net != nil:
+	if m.net != nil {
 		avg, _ := m.net.LinkUtilization()
 		mon.LinkUtil.Append(now, avg)
 		mon.Messages.Append(now, float64(m.net.Messages()))
-	case m.cnet != nil:
-		avg, _ := m.cnet.LinkUtilization()
-		mon.LinkUtil.Append(now, avg)
-		mon.Messages.Append(now, float64(m.cnet.Messages()))
 	}
 	mon.Events.Append(now, float64(m.k.EventCount()))
 

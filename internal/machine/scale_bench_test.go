@@ -11,15 +11,11 @@ import (
 	"mermaid/internal/topology"
 )
 
-// BenchmarkScaleEngine compares the process engine (one scheduled process
-// per node) against the compact engine (one shared event loop over flat
-// per-node state arrays) on the same task-level machine and workload, at
-// growing node counts. Both produce byte-identical reports (see
-// compact_test.go); the benchmark quantifies what the representation change
-// buys in host time and allocations. The largest sizes run compact-only:
-// that regime is the engine's reason to exist.
+// BenchmarkScaleEngine runs the same task-level machine and workload on the
+// network fabric at growing node counts, reporting host time, allocations
+// and simulated cycles per second.
 func BenchmarkScaleEngine(b *testing.B) {
-	run := func(b *testing.B, nodes int, engine string) {
+	run := func(b *testing.B, nodes int) {
 		dim := 1
 		for dim*dim < nodes {
 			dim++
@@ -29,7 +25,6 @@ func BenchmarkScaleEngine(b *testing.B) {
 		}
 		cfg := GenericTaskMachine(topology.Config{Kind: topology.Torus2D, DimX: dim, DimY: dim}, nodes, router.VirtualCutThrough)
 		cfg.Seed = 11
-		cfg.Engine = engine
 		desc := stochastic.Desc{
 			Name: "bench", Nodes: nodes, Level: stochastic.TaskLevel,
 			Seed: 5, Iterations: 4,
@@ -53,12 +48,7 @@ func BenchmarkScaleEngine(b *testing.B) {
 		}
 		b.ReportMetric(float64(cycles)*float64(b.N)/float64(b.Elapsed().Nanoseconds())*1e9, "cycles/s")
 	}
-	for _, nodes := range []int{256, 4096} {
-		for _, engine := range []string{EngineProcess, EngineCompact} {
-			b.Run(fmt.Sprintf("%s/%d", engine, nodes), func(b *testing.B) { run(b, nodes, engine) })
-		}
-	}
-	for _, nodes := range []int{16384, 65536} {
-		b.Run(fmt.Sprintf("%s/%d", EngineCompact, nodes), func(b *testing.B) { run(b, nodes, EngineCompact) })
+	for _, nodes := range []int{256, 4096, 16384, 65536} {
+		b.Run(fmt.Sprint(nodes), func(b *testing.B) { run(b, nodes) })
 	}
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // TestScaleSmoke100k drives a 100,000-node dragonfly task-level machine end
-// to end on the compact engine: build, auto-selection, a two-iteration
+// to end on the network fabric: build, a two-iteration
 // nearest-neighbour workload, and wall-clock/heap budgets sized for CI. The
 // run is opt-in (MERMAID_SCALE_SMOKE=1) because it is deliberately heavy for
 // a unit-test sweep, and the budgets are deliberately loose — they catch
@@ -37,9 +38,6 @@ func TestScaleSmoke100k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Compact() == nil {
-		t.Fatal("a 100k-node task-level machine must auto-select the compact engine")
-	}
 	built := time.Since(start)
 
 	res, err := m.RunStochastic(stochastic.Desc{
@@ -57,7 +55,7 @@ func TestScaleSmoke100k(t *testing.T) {
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	msgs := m.Compact().Messages()
+	msgs := m.Network().Messages()
 	t.Logf("build %v, total %v, %d cycles, %d events, %d messages, heap %d MiB",
 		built, elapsed, res.Cycles, res.Events, msgs, ms.HeapAlloc>>20)
 
@@ -69,5 +67,26 @@ func TestScaleSmoke100k(t *testing.T) {
 	}
 	if ms.HeapAlloc > heapBudget {
 		t.Errorf("heap %d bytes, budget %d", ms.HeapAlloc, int64(heapBudget))
+	}
+}
+
+// TestOversizedTopologiesRejected: a machine too large to model is an error
+// naming the offending field, not a panic or a fatal out-of-memory crash
+// while the fabric allocates its per-channel state.
+func TestOversizedTopologiesRejected(t *testing.T) {
+	for _, tc := range []struct{ spec, field string }{
+		{"torus:99999999x99999999", "fields DimX, DimY"},
+		{"full:200000", "field Topology"},
+		{"ring:2000000000", "field Nodes"},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			cfg, err := TaskMachineFromSpec(tc.spec)
+			if err == nil {
+				_, err = New(cfg)
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("err = %v, want an error naming %q", err, tc.field)
+			}
+		})
 	}
 }

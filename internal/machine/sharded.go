@@ -2,18 +2,21 @@ package machine
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
 	"mermaid/internal/fault"
 	"mermaid/internal/network"
 	"mermaid/internal/node"
+	"mermaid/internal/ops"
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/router"
 	"mermaid/internal/sim"
 	"mermaid/internal/stats"
 	"mermaid/internal/topology"
+	"mermaid/internal/trace"
 )
 
 // buildSharded assembles the machine on the conservative parallel engine:
@@ -218,4 +221,84 @@ func (m *Machine) mergedRegistryDump() *stats.Set {
 		set.Put(name, slots[name].val, slots[name].unit)
 	}
 	return set
+}
+
+// shardProc runs one task-level node on the parallel engine: a blocking
+// process over the node's sharded NodeIf, on the kernel of the shard that
+// owns the node. (The single-kernel fabric runs task-level nodes as state
+// machines instead; see network.Network.Attach.)
+type shardProc struct {
+	ni      *network.NodeIf
+	src     *trace.Cursor
+	compute pearl.Time
+	tasks   stats.Counter
+	err     error
+	done    bool
+}
+
+// spawnShardProcs starts one process per node, in node order.
+func (m *Machine) spawnShardProcs(srcs []trace.Source) {
+	for i, src := range srcs {
+		pr := &shardProc{ni: m.snet.Node(i), src: trace.NewCursor(src)}
+		m.group.Kernel(m.part[i]).Spawn(fmt.Sprintf("proc%d", i), pr.run)
+		m.procs = append(m.procs, pr)
+	}
+}
+
+func (pr *shardProc) run(p *pearl.Process) {
+	defer func() { pr.done = true }()
+	for {
+		ev, err := pr.src.Next()
+		if err == io.EOF {
+			return
+		}
+		if err == nil {
+			err = pr.exec(p, ev)
+		}
+		if err != nil {
+			pr.err = err
+			return
+		}
+	}
+}
+
+func (pr *shardProc) exec(p *pearl.Process, ev trace.Event) error {
+	o := ev.Op
+	fb := trace.Feedback{Peer: o.Peer, Tag: o.Tag}
+	switch o.Kind {
+	case ops.Compute:
+		pr.compute += pearl.Time(o.Dur)
+		pr.tasks.Inc()
+		if o.Dur > 0 {
+			p.Hold(pearl.Time(o.Dur))
+		}
+		return nil
+	case ops.Send, ops.ASend:
+		pr.ni.Send(p, int(o.Peer), o.Size, o.Tag, ev.Payload, o.Kind == ops.Send)
+	case ops.Recv:
+		m := pr.ni.Recv(p, o.Peer, o.Tag)
+		fb = trace.Feedback{Peer: int32(m.Src), Tag: m.Tag, Payload: m.Payload}
+	case ops.ARecv:
+		pr.ni.PostRecv(p, o.Peer, o.Tag, o.Addr)
+	case ops.WaitRecv:
+		m := pr.ni.WaitRecv(p, o.Addr)
+		fb = trace.Feedback{Peer: int32(m.Src), Tag: m.Tag, Payload: m.Payload}
+	default:
+		return fmt.Errorf("network: task-level trace for node %d contains %s; "+
+			"instruction-level operations need the computational model", pr.ni.ID(), o.Kind)
+	}
+	if ev.Resume != nil {
+		ev.Resume <- fb
+	}
+	return nil
+}
+
+// stats reports the node's processor counters in the single-kernel fabric's
+// layout (see network.Network.ProcStats).
+func (pr *shardProc) stats() *stats.Set {
+	s := stats.NewSet(fmt.Sprintf("proc%d", pr.ni.ID()))
+	s.PutUint("compute tasks", pr.tasks.Value(), "")
+	s.PutInt("compute cycles", int64(pr.compute), "cyc")
+	s.Subsets = append(s.Subsets, pr.ni.Stats())
+	return s
 }

@@ -285,6 +285,16 @@ func TestWormholeHoldsPath(t *testing.T) {
 	}
 }
 
+// computeCycles reads task-level node i's compute time from its report.
+func computeCycles(t *testing.T, n *Network, i int) float64 {
+	t.Helper()
+	v, ok := n.ProcStats(i).Get("compute cycles")
+	if !ok {
+		t.Fatal("no compute cycles in processor stats")
+	}
+	return v
+}
+
 func TestProcessorPingPong(t *testing.T) {
 	k := pearl.NewKernel()
 	cfg := ringConfig(router.StoreAndForward)
@@ -299,19 +309,17 @@ func TestProcessorPingPong(t *testing.T) {
 		ops.NewCompute(50),
 		ops.NewSend(64, 0, 1),
 	}
-	p0 := NewProcessor(n.Node(0), traceFromOps(t0))
-	p1 := NewProcessor(n.Node(1), traceFromOps(t1))
-	p0.Spawn(k)
-	p1.Spawn(k)
+	n.Attach(0, traceFromOps(t0))
+	n.Attach(1, traceFromOps(t1))
 	end := k.Run()
-	if p0.Err() != nil || p1.Err() != nil {
-		t.Fatalf("errors: %v / %v", p0.Err(), p1.Err())
+	if n.Err() != nil {
+		t.Fatalf("error: %v", n.Err())
 	}
-	if !p0.Done() || !p1.Done() {
+	if !n.AllDone() {
 		t.Fatal("processors not done")
 	}
-	if p0.ComputeCycles() != 100 || p1.ComputeCycles() != 50 {
-		t.Fatalf("compute cycles %d/%d", p0.ComputeCycles(), p1.ComputeCycles())
+	if c0, c1 := computeCycles(t, n, 0), computeCycles(t, n, 1); c0 != 100 || c1 != 50 {
+		t.Fatalf("compute cycles %v/%v", c0, c1)
 	}
 	if end == 0 {
 		t.Fatal("no time advanced")
@@ -324,10 +332,9 @@ func TestProcessorPingPong(t *testing.T) {
 func TestProcessorRejectsInstructionOps(t *testing.T) {
 	k := pearl.NewKernel()
 	n := mustNet(t, k, ringConfig(router.StoreAndForward))
-	pr := NewProcessor(n.Node(0), traceFromOps([]ops.Op{ops.NewLoad(ops.MemWord, 0)}))
-	pr.Spawn(k)
+	n.Attach(0, traceFromOps([]ops.Op{ops.NewLoad(ops.MemWord, 0)}))
 	k.Run()
-	if pr.Err() == nil {
+	if n.Err() == nil {
 		t.Fatal("expected error for instruction-level op in task-level model")
 	}
 }
@@ -335,14 +342,13 @@ func TestProcessorRejectsInstructionOps(t *testing.T) {
 func TestDeadlockDiagnosable(t *testing.T) {
 	k := pearl.NewKernel()
 	n := mustNet(t, k, ringConfig(router.StoreAndForward))
-	pr := NewProcessor(n.Node(0), traceFromOps([]ops.Op{ops.NewRecv(1, 0)}))
-	pr.Spawn(k)
+	n.Attach(0, traceFromOps([]ops.Op{ops.NewRecv(1, 0)}))
 	k.Run()
-	if pr.Done() {
+	if n.AllDone() {
 		t.Fatal("processor should be stuck")
 	}
-	if len(k.Blocked()) == 0 {
-		t.Fatal("kernel should report blocked processes")
+	if b := n.Blocked(); len(b) != 1 || b[0] != "proc0 (await)" {
+		t.Fatalf("blocked = %q, want the stuck processor", b)
 	}
 }
 

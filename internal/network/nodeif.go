@@ -8,9 +8,10 @@ import (
 	"mermaid/internal/stats"
 )
 
-// NodeIf is one node's network interface: the API through which both the
-// abstract processor (task-level mode) and the single-node computational
-// model (detailed mode) perform message passing. Matching follows MPI-like
+// NodeIf is one node's network interface: the API through which blocking
+// simulation processes — the single-node computational model (detailed
+// mode), the DSM managers, and the parallel engine's task-level nodes —
+// perform message passing. Matching follows MPI-like
 // semantics: a receive names a source (or ops.AnyPeer) and a tag; arrivals
 // match the oldest compatible posted receive, and receives match the oldest
 // compatible arrival — "oldest" in simulated time, which is what makes the
@@ -28,16 +29,31 @@ type NodeIf struct {
 	waiters []*recvWait
 	handles map[uint64]*pearl.Future
 
+	st *nifStats // owned by the fabric
+}
+
+// nifStats is one node interface's accounting. The fabric owns it, so the
+// counters exist, and are registered, before any NodeIf is built.
+type nifStats struct {
 	sends     stats.Counter
 	recvs     stats.Counter
 	sendBlock pearl.Time // cycles spent blocked in synchronous sends
 	recvBlock pearl.Time // cycles spent blocked waiting for arrivals
 }
 
+func (s *nifStats) set(id int) *stats.Set {
+	set := stats.NewSet(fmt.Sprintf("nif%d", id))
+	set.PutUint("sends", s.sends.Value(), "")
+	set.PutUint("recvs", s.recvs.Value(), "")
+	set.PutInt("send blocked", int64(s.sendBlock), "cyc")
+	set.PutInt("recv blocked", int64(s.recvBlock), "cyc")
+	return set
+}
+
 // transport is the fabric behind a NodeIf: the single-kernel Network or the
 // sharded fabric. The interface carries exactly the calls the node-facing
 // API needs, so NodeIf semantics (matching, overheads, rendezvous acks) are
-// shared verbatim between both engines.
+// shared verbatim between both.
 type transport interface {
 	nodeCount() int
 	config() *Config
@@ -66,19 +82,19 @@ func (ni *NodeIf) Send(p *pearl.Process, dst int, size uint32, tag uint32, paylo
 	if dst < 0 || dst >= ni.tr.nodeCount() {
 		panic(fmt.Sprintf("network: node %d sending to invalid destination %d", ni.id, dst))
 	}
-	ni.sends.Inc()
+	ni.st.sends.Inc()
 	if ni.tr.config().SendOverhead > 0 {
 		p.Hold(ni.tr.config().SendOverhead)
 	}
 	msg := &Message{Src: ni.id, Dst: dst, Size: size, Tag: tag, Payload: payload, Sync: sync}
 	if sync {
-		msg.ackFut = ni.k.NewFuture()
+		msg.ack = ni.k.NewFuture()
 	}
 	ni.tr.inject(msg)
 	if sync {
 		start := p.Now()
-		p.Await(msg.ackFut)
-		ni.sendBlock += p.Now() - start
+		p.Await(msg.ack)
+		ni.st.sendBlock += p.Now() - start
 	}
 }
 
@@ -86,7 +102,7 @@ func (ni *NodeIf) Send(p *pearl.Process, dst int, size uint32, tag uint32, paylo
 // src may be ops.AnyPeer; the message that arrived first in simulated time
 // wins — the feedback the execution-driven trace generation relies on.
 func (ni *NodeIf) Recv(p *pearl.Process, src int32, tag uint32) *Message {
-	ni.recvs.Inc()
+	ni.st.recvs.Inc()
 	if ni.tr.config().RecvOverhead > 0 {
 		p.Hold(ni.tr.config().RecvOverhead)
 	}
@@ -98,14 +114,14 @@ func (ni *NodeIf) Recv(p *pearl.Process, src int32, tag uint32) *Message {
 	ni.waiters = append(ni.waiters, w)
 	start := p.Now()
 	m := p.Await(w.fut).(*Message)
-	ni.recvBlock += p.Now() - start
+	ni.st.recvBlock += p.Now() - start
 	return m
 }
 
 // PostRecv posts an asynchronous receive (arecv) under the given handle and
 // returns immediately; complete it with WaitRecv.
 func (ni *NodeIf) PostRecv(p *pearl.Process, src int32, tag uint32, handle uint64) {
-	ni.recvs.Inc()
+	ni.st.recvs.Inc()
 	if ni.tr.config().RecvOverhead > 0 {
 		p.Hold(ni.tr.config().RecvOverhead)
 	}
@@ -132,7 +148,7 @@ func (ni *NodeIf) WaitRecv(p *pearl.Process, handle uint64) *Message {
 	delete(ni.handles, handle)
 	start := p.Now()
 	m := p.Await(fut).(*Message)
-	ni.recvBlock += p.Now() - start
+	ni.st.recvBlock += p.Now() - start
 	return m
 }
 
@@ -153,7 +169,7 @@ func (ni *NodeIf) takeArrived(src int32, tag uint32) *Message {
 // message.
 func (ni *NodeIf) arrive(m *Message) {
 	if m.isAck {
-		m.ackFut.Complete(nil)
+		m.ack.Complete(nil)
 		return
 	}
 	for i, w := range ni.waiters {
@@ -168,10 +184,10 @@ func (ni *NodeIf) arrive(m *Message) {
 }
 
 // SendBlocked returns the cycles spent blocked in synchronous sends.
-func (ni *NodeIf) SendBlocked() pearl.Time { return ni.sendBlock }
+func (ni *NodeIf) SendBlocked() pearl.Time { return ni.st.sendBlock }
 
 // RecvBlocked returns the cycles spent blocked waiting for arrivals.
-func (ni *NodeIf) RecvBlocked() pearl.Time { return ni.recvBlock }
+func (ni *NodeIf) RecvBlocked() pearl.Time { return ni.st.recvBlock }
 
 // Pending returns the number of arrived-but-unmatched messages (for
 // diagnostics and drain checks).
@@ -181,11 +197,4 @@ func (ni *NodeIf) Pending() int { return len(ni.arrived) }
 func (ni *NodeIf) Outstanding() int { return len(ni.waiters) }
 
 // Stats reports the interface's counters.
-func (ni *NodeIf) Stats() *stats.Set {
-	s := stats.NewSet(fmt.Sprintf("nif%d", ni.id))
-	s.PutUint("sends", ni.sends.Value(), "")
-	s.PutUint("recvs", ni.recvs.Value(), "")
-	s.PutInt("send blocked", int64(ni.sendBlock), "cyc")
-	s.PutInt("recv blocked", int64(ni.recvBlock), "cyc")
-	return s
-}
+func (ni *NodeIf) Stats() *stats.Set { return ni.st.set(ni.id) }

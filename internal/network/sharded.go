@@ -16,8 +16,7 @@ import (
 // ShardedNetwork is the communication fabric of the conservative parallel
 // engine: the same node-facing semantics as Network (it implements the same
 // transport interface behind NodeIf), but with the machine's nodes cut into
-// shards that each own a kernel, and packet movement expressed as events
-// instead of per-packet processes.
+// shards that each own a kernel.
 //
 // Determinism does not come from replaying the single-kernel engine's
 // scheduling — it comes from making every cross-order-sensitive interaction
@@ -98,8 +97,7 @@ type slink struct {
 }
 
 // spkt is one packet in flight under the sharded engine: plain state moved
-// between shards by events, where the single-kernel engine would block a
-// dedicated process.
+// between shards by events.
 type spkt struct {
 	msg     *Message
 	bytes   uint32 // wire size of this packet
@@ -190,13 +188,14 @@ func NewSharded(group *pearl.ShardGroup, envs []sim.Env, cfg Config, part []int)
 	}
 	n.ifs = make([]*NodeIf, topo.Nodes())
 	n.bufs = make([]arrivalBuf, topo.Nodes())
+	nifs := make([]nifStats, topo.Nodes())
 	for i := range n.ifs {
 		sh := part[i]
-		n.ifs[i] = &NodeIf{tr: n, k: group.Kernel(sh), id: i, handles: make(map[uint64]*pearl.Future)}
+		n.ifs[i] = &NodeIf{tr: n, k: group.Kernel(sh), id: i, st: &nifs[i], handles: make(map[uint64]*pearl.Future)}
 		n.bufs[i].drainAt = pearl.Forever
 		reg := envs[sh].Registry()
-		reg.Counter(fmt.Sprintf("net.nif%d.sends", i), &n.ifs[i].sends)
-		reg.Counter(fmt.Sprintf("net.nif%d.recvs", i), &n.ifs[i].recvs)
+		reg.Counter(fmt.Sprintf("net.nif%d.sends", i), &nifs[i].sends)
+		reg.Counter(fmt.Sprintf("net.nif%d.recvs", i), &nifs[i].recvs)
 	}
 	return n, nil
 }
@@ -521,11 +520,11 @@ func (n *ShardedNetwork) failRestart(s *netShard, pk *spkt) {
 // send, once the receiver has accepted the message. Runs in the receiver's
 // shard; the ack travels back through the network like any message.
 func (n *ShardedNetwork) sendAck(msg *Message) {
-	if !msg.Sync || msg.ackFut == nil {
+	if !msg.Sync {
 		return
 	}
 	n.shardOf(msg.Dst).acks.Inc()
-	ack := &Message{Src: msg.Dst, Dst: msg.Src, Size: uint32(n.cfg.AckBytes), isAck: true, ackFut: msg.ackFut}
+	ack := &Message{Src: msg.Dst, Dst: msg.Src, Size: uint32(n.cfg.AckBytes), isAck: true, ack: msg.ack}
 	n.inject(ack)
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // RunRef identifies one side of a diff.
@@ -31,10 +32,14 @@ type DiffReport struct {
 	Description string `json:"description"`
 	Before      RunRef `json:"before"`
 	After       RunRef `json:"after"`
-	// Changed counts deterministic metrics whose values differ — the
-	// number a CI gate can assert to be zero across a no-change commit,
-	// while host-dependent metrics (wall time, heap) drift freely.
+	// Changed counts deterministic metrics whose values differ plus
+	// deterministic artifacts whose hashes differ — the number a CI gate
+	// can assert to be zero across a no-change commit, while
+	// host-dependent metrics (wall time, heap) drift freely.
 	Changed int `json:"changed"`
+	// ChangedFiles lists the csv/ and analysis/ artifacts of deterministic
+	// runs whose SHA-256 differs between the two sides.
+	ChangedFiles []string `json:"changed_files,omitempty"`
 	// Metrics maps "<group>/<key>" to its delta, for every metric present
 	// on both sides (replica means).
 	Metrics map[string]Delta `json:"metrics"`
@@ -87,10 +92,29 @@ func metricsOf(m *Manifest) map[string]metric {
 	return out
 }
 
-// Diff loads two artifact directories and compares their metrics: before is
-// the baseline, after the candidate. Metrics are replica means keyed by
-// "<group>/<key>"; the Changed count covers only deterministic experiments,
-// so it is stable across hosts.
+// deterministicArtifacts returns the csv/ and analysis/ files of a
+// manifest's deterministic runs. Logs are left out: they carry host wall
+// times.
+func deterministicArtifacts(m *Manifest) map[string]bool {
+	out := map[string]bool{}
+	for _, r := range m.Runs {
+		if !r.Deterministic {
+			continue
+		}
+		for _, f := range r.Files {
+			if strings.HasPrefix(f, "csv/") || strings.HasPrefix(f, "analysis/") {
+				out[f] = true
+			}
+		}
+	}
+	return out
+}
+
+// Diff loads two artifact directories and compares their metrics and
+// artifact hashes: before is the baseline, after the candidate. Metrics are
+// replica means keyed by "<group>/<key>"; the Changed count covers only
+// deterministic experiments — their metrics and their csv/ and analysis/
+// files — so it is stable across hosts.
 func Diff(beforeDir, afterDir string) (*DiffReport, error) {
 	mb, err := ReadManifest(beforeDir)
 	if err != nil {
@@ -129,6 +153,14 @@ func Diff(beforeDir, afterDir string) (*DiffReport, error) {
 			rep.Added = append(rep.Added, name)
 		}
 	}
+	afterDet := deterministicArtifacts(ma)
+	for f := range deterministicArtifacts(mb) {
+		if afterDet[f] && mb.Files[f] != ma.Files[f] {
+			rep.ChangedFiles = append(rep.ChangedFiles, f)
+		}
+	}
+	rep.Changed += len(rep.ChangedFiles)
+	sort.Strings(rep.ChangedFiles)
 	sort.Strings(rep.Added)
 	sort.Strings(rep.Removed)
 	return rep, nil

@@ -254,6 +254,57 @@ func TestDiffDetectsChange(t *testing.T) {
 	}
 }
 
+// TestDiffDetectsArtifactChange: a deterministic run's csv/ or analysis/
+// file whose bytes changed counts as changed even when every metric agrees.
+func TestDiffDetectsArtifactChange(t *testing.T) {
+	_, dirA := runTestGrid(t, 2)
+	_, dirB := runTestGrid(t, 2)
+	mb, err := ReadManifest(dirB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var target string
+	for _, r := range mb.Runs {
+		for _, f := range r.Files {
+			if r.Deterministic && strings.HasPrefix(f, "csv/") && target == "" {
+				target = f
+			}
+		}
+	}
+	if target == "" {
+		t.Fatal("test grid has no deterministic csv artifact")
+	}
+	// Flip one byte, and record the new hash as a run of changed code would.
+	path := filepath.Join(dirB, filepath.FromSlash(target))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-2] ^= 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if mb.Files[target], err = hashFile(path); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(dirB, manifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mb.WriteJSON(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	rep, err := Diff(dirA, dirB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Changed != 1 || len(rep.ChangedFiles) != 1 || rep.ChangedFiles[0] != target {
+		t.Errorf("changed = %d, files %v; want 1, [%s]", rep.Changed, rep.ChangedFiles, target)
+	}
+}
+
 // TestParseGridRejectsBadSpecs: unknown experiments, undeclared sweep
 // parameters, and unknown JSON fields all fail fast.
 func TestParseGridRejectsBadSpecs(t *testing.T) {

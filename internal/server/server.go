@@ -228,9 +228,6 @@ type jobSpec struct {
 	// Topology builds a task-level machine from a compact spec string
 	// ("torus:8x8", "fattree:32x3", ...), exclusive with Config.
 	Topology string `json:"topology,omitempty"`
-	// Engine overrides the task-level execution engine (auto, process,
-	// compact).
-	Engine string `json:"engine,omitempty"`
 	// Seed overrides the configuration's seed — the third component of the
 	// cache key.
 	Seed *uint64 `json:"seed,omitempty"`
@@ -261,9 +258,6 @@ func (s *Server) buildJob(spec *jobSpec) (machine.Config, stochastic.Desc, resul
 	}
 	if err != nil {
 		return cfg, stochastic.Desc{}, resultcache.Key{}, err
-	}
-	if spec.Engine != "" {
-		cfg.Engine = spec.Engine
 	}
 	if spec.Seed != nil {
 		cfg.Seed = *spec.Seed

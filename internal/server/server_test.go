@@ -297,6 +297,7 @@ func TestSubmissionValidation(t *testing.T) {
 		{"level mismatch", `{"topology":"torus:4x4","workload":{"Level":"instruction","Iterations":1,"Phases":[{"Instructions":10}]}}`},
 		{"node mismatch", `{"topology":"torus:4x4","workload":{"Level":"task","Nodes":5,"Iterations":1,"Phases":[{"Duration":1}]}}`},
 		{"unknown field", `{"topology":"torus:4x4","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]},"x":1}`},
+		{"engine field", `{"topology":"torus:4x4","engine":"compact","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]}}`},
 	}
 	for _, tc := range cases {
 		if _, code := submit(t, ts, tc.body); code != http.StatusBadRequest {

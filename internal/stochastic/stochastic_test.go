@@ -260,20 +260,15 @@ func TestSyncPatternsRunToCompletion(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var procs []*network.Processor
 				for i := 0; i < nodes; i++ {
-					pr := network.NewProcessor(net.Node(i), srcs[i])
-					pr.Spawn(k)
-					procs = append(procs, pr)
+					net.Attach(i, srcs[i])
 				}
 				k.Run()
-				for i, pr := range procs {
-					if pr.Err() != nil {
-						t.Fatalf("node %d: %v", i, pr.Err())
-					}
-					if !pr.Done() {
-						t.Fatalf("node %d deadlocked (pattern %s)", i, pat)
-					}
+				if err := net.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if !net.AllDone() {
+					t.Fatalf("deadlocked (pattern %s): %v", pat, net.Blocked())
 				}
 			})
 		}

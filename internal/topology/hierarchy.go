@@ -7,8 +7,8 @@ import "fmt"
 // node id, so a million-node machine is a handful of integers and every
 // Route/Neighbor/Dateline query is O(1) with zero allocation.
 
-// maxTopologyNodes bounds generator sizes so id arithmetic stays well inside
-// int range on every platform.
+// maxTopologyNodes bounds every family's node count so id arithmetic stays
+// well inside int range on every platform.
 const maxTopologyNodes = 1 << 30
 
 // 3-D torus -----------------------------------------------------------------
@@ -27,7 +27,7 @@ func NewTorus3D(x, y, z int) (Topology, error) {
 		return nil, fmt.Errorf("topology: torus3d %dx%dx%d needs every dimension >= 2 (fields DimX, DimY, DimZ)", x, y, z)
 	}
 	if x > maxTopologyNodes/y || x*y > maxTopologyNodes/z {
-		return nil, fmt.Errorf("topology: torus3d %dx%dx%d exceeds %d nodes", x, y, z, maxTopologyNodes)
+		return nil, fmt.Errorf("topology: torus3d %dx%dx%d exceeds %d nodes (fields DimX, DimY, DimZ)", x, y, z, maxTopologyNodes)
 	}
 	return &torus3d{x, y, z}, nil
 }
@@ -358,7 +358,7 @@ func NewDragonfly(routers, globals, groups int) (Topology, error) {
 			groups, groups-1, routers, globals)
 	}
 	if routers > maxTopologyNodes/groups {
-		return nil, fmt.Errorf("topology: dragonfly %d*%d exceeds %d nodes", groups, routers, maxTopologyNodes)
+		return nil, fmt.Errorf("topology: dragonfly %d*%d exceeds %d nodes (fields Groups, Routers)", groups, routers, maxTopologyNodes)
 	}
 	return &dragonfly{groups: groups, routers: routers, globals: globals}, nil
 }

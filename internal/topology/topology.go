@@ -212,6 +212,9 @@ func NewRing(n int) (Topology, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("topology: ring needs >= 2 nodes, got %d", n)
 	}
+	if n > maxTopologyNodes {
+		return nil, fmt.Errorf("topology: ring of %d nodes exceeds %d (field Nodes)", n, maxTopologyNodes)
+	}
 	return &ring{n}, nil
 }
 
@@ -253,6 +256,9 @@ type mesh struct {
 
 // NewMesh builds a w x h 2-D mesh with dimension-order (XY) routing.
 func NewMesh(w, h int) (Topology, error) {
+	if w >= 1 && h >= 1 && w > maxTopologyNodes/h {
+		return nil, fmt.Errorf("topology: mesh %dx%d exceeds %d nodes (fields DimX, DimY)", w, h, maxTopologyNodes)
+	}
 	if w < 1 || h < 1 || w*h < 2 {
 		return nil, fmt.Errorf("topology: mesh %dx%d too small", w, h)
 	}
@@ -263,6 +269,9 @@ func NewMesh(w, h int) (Topology, error) {
 func NewTorus(w, h int) (Topology, error) {
 	if w < 2 || h < 2 {
 		return nil, fmt.Errorf("topology: torus %dx%d needs both dimensions >= 2", w, h)
+	}
+	if w > maxTopologyNodes/h {
+		return nil, fmt.Errorf("topology: torus %dx%d exceeds %d nodes (fields DimX, DimY)", w, h, maxTopologyNodes)
 	}
 	return &mesh{w, h, true}, nil
 }
@@ -431,6 +440,9 @@ func NewHypercube(n int) (Topology, error) {
 	if n < 2 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("topology: hypercube needs a power-of-two node count, got %d", n)
 	}
+	if n > maxTopologyNodes {
+		return nil, fmt.Errorf("topology: hypercube of %d nodes exceeds %d (field Nodes)", n, maxTopologyNodes)
+	}
 	dim := 0
 	for x := n; x > 1; x >>= 1 {
 		dim++
@@ -475,6 +487,9 @@ type star struct{ n int }
 func NewStar(n int) (Topology, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("topology: star needs >= 2 nodes, got %d", n)
+	}
+	if n > maxTopologyNodes {
+		return nil, fmt.Errorf("topology: star of %d nodes exceeds %d (field Nodes)", n, maxTopologyNodes)
 	}
 	return &star{n}, nil
 }
@@ -522,6 +537,9 @@ type full struct{ n int }
 func NewFull(n int) (Topology, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("topology: full needs >= 2 nodes, got %d", n)
+	}
+	if n > maxTopologyNodes {
+		return nil, fmt.Errorf("topology: full of %d nodes exceeds %d (field Nodes)", n, maxTopologyNodes)
 	}
 	return &full{n}, nil
 }
