@@ -117,21 +117,14 @@ func checkGoldenRun(t *testing.T, name string, r goldenRun, hashTimeline bool) {
 	checkGolden(t, name+".bottleneck.json", r.bottleneck)
 }
 
-// runReport builds cfg with a probe and runs the stochastic description,
-// returning the rendered report (with the registry dump, so metric names and
-// ordering are compared too).
-func runReport(t *testing.T, cfg Config, desc stochastic.Desc) []byte {
-	t.Helper()
-	return runGolden(t, cfg, false, func(m *Machine) (*Result, error) { return m.RunStochastic(desc) }).report
-}
-
-// checkEngineIdentity pins the report of one task-level machine and workload
-// as testdata/identity-<name>.report.txt. The files were produced by the
-// process-per-node engine the fabric replaced, so each test checks that the
-// fabric still reproduces it byte for byte.
+// checkEngineIdentity pins the report of one task-level machine and workload,
+// registry dump included, as testdata/identity-<name>.report.txt. The files
+// were produced by the process-per-node engine the fabric replaced, so each
+// test checks that the fabric still reproduces it byte for byte.
 func checkEngineIdentity(t *testing.T, name string, cfg Config, desc stochastic.Desc) {
 	t.Helper()
-	checkGolden(t, "identity-"+name+".report.txt", runReport(t, cfg, desc))
+	r := runGolden(t, cfg, false, func(m *Machine) (*Result, error) { return m.RunStochastic(desc) })
+	checkGolden(t, "identity-"+name+".report.txt", r.report)
 }
 
 func taskDesc(nodes int, seed uint64, phases ...stochastic.Phase) stochastic.Desc {
