@@ -95,16 +95,14 @@ func main() {
 		experiment = flag.String("experiment", "", "run a reproduction experiment: all, list, "+strings.Join(experiments.Names(), ", "))
 		sweepF     = flag.String("sweep", "", "experiment sweep overrides, ';'-separated name=value pairs (values may contain commas), e.g. \"sizes=4,16;assocs=2\"")
 		csv        = flag.Bool("csv", false, "emit experiment tables as CSV")
-		monitor    = flag.Int64("monitor", 0, "sample run-time metrics every N cycles (0 = off)")
-		monitorCSV = flag.String("monitor-csv", "", "write monitor samples to a CSV file")
+		monitor    = flag.Int64("monitor", 0, "sample run-time metrics every N cycles and print a run-time monitor section (0 = off); also the sampling interval of -metrics and -monitor-addr, which default to 10000")
 
 		reportPath  = flag.String("report", "", "run the bottleneck analysis and write its JSON report to this file")
 		monitorAddr = flag.String("monitor-addr", "", "serve live run state over HTTP on this address (/metrics Prometheus text, /progress JSON)")
 
 		timeline       = flag.String("timeline", "", "write a virtual-time timeline (Chrome trace-event JSON, Perfetto-loadable) to this file")
 		timelineSample = flag.Int("timeline-sample", 1, "keep every Nth timeline event (sampling rate)")
-		metricsOut     = flag.String("metrics", "", "write periodic metric-registry samples to this CSV file")
-		metricsEvery   = flag.Int64("metrics-every", 10000, "sample the metrics registry every N cycles (with -metrics)")
+		metricsOut     = flag.String("metrics", "", "write periodic metric-registry samples (every -monitor cycles) to this CSV file")
 
 		parallel = flag.Int("parallel", runtime.NumCPU(), "max simulations to run concurrently (experiment sweeps and -repeats)")
 		repeats  = flag.Int("repeats", 1, "replications of the run with per-replica derived seeds")
@@ -117,6 +115,9 @@ func main() {
 		hostMetrics = flag.String("host-metrics", "", "write the parallel engine's telemetry (busy/wait per shard, windows, efficiency) as Prometheus text to this file (requires -shards)")
 	)
 	flag.Parse()
+	if *monitor < 0 {
+		fatal(fmt.Errorf("-monitor: sampling interval %d is negative", *monitor))
+	}
 
 	stop, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
@@ -224,10 +225,11 @@ func main() {
 		if *hostMetrics != "" {
 			fatal(fmt.Errorf("-host-metrics reports one parallel run; use -repeats 1"))
 		}
-		var mon *analysis.Monitor
+		var scope *analysis.Scope
 		if *monitorAddr != "" {
-			var err error
-			if mon, err = analysis.NewMonitor(*monitorAddr); err != nil {
+			scope = analysis.NewScope()
+			mon, err := analysis.NewMonitor(*monitorAddr, scope)
+			if err != nil {
 				fatal(err)
 			}
 			defer mon.Close()
@@ -237,7 +239,7 @@ func main() {
 		if *hostTrace != "" {
 			host = hostprobe.NewTrace()
 		}
-		if err := runReplicated(os.Stdout, cfg, runName, *repeats, *parallel, mon, host, runOnce); err != nil {
+		if err := runReplicated(os.Stdout, cfg, runName, *repeats, *parallel, scope, host, runOnce); err != nil {
 			fatal(err)
 		}
 		writeHostTrace(host, *hostTrace)
@@ -273,37 +275,51 @@ func main() {
 		shardTel = g.EnableTelemetry()
 		hostprobe.ShardSpans(host, g)
 	}
+	// Every virtual-time reader runs on the kernel's one sampling hook,
+	// which is not an event: sampled runs report the same cycles and
+	// events as unsampled ones.
+	var samplers []func(pearl.Time)
+	var series *machine.RunSeries
 	if *monitor > 0 {
-		if _, err := m.EnableMonitoring(pearl.Time(*monitor)); err != nil {
-			fatal(err)
-		}
+		series = machine.NewRunSeries(m)
+		samplers = append(samplers, series.Sample)
 	}
 	if *metricsOut != "" {
-		if err := pb.Registry().StartSampler(m.Kernel(), pearl.Time(*metricsEvery)); err != nil {
-			fatal(err)
-		}
+		samplers = append(samplers, pb.Registry().Sample)
 	}
-	var httpMon *analysis.Monitor
+	var scope *analysis.Scope
 	if *monitorAddr != "" {
-		if httpMon, err = analysis.NewMonitor(*monitorAddr); err != nil {
+		scope = analysis.NewScope()
+		mon, err := analysis.NewMonitor(*monitorAddr, scope)
+		if err != nil {
 			fatal(err)
 		}
-		defer httpMon.Close()
+		defer mon.Close()
+		scope.SetRuns(1)
+		k, reg := m.Kernel(), pb.Registry()
+		samplers = append(samplers, func(pearl.Time) { scope.Sample(k, reg) })
+		fmt.Fprintf(os.Stderr, "mermaid: monitoring on http://%s (/metrics, /progress)\n", mon.Addr())
+	}
+	if len(samplers) > 0 {
 		every := pearl.Time(*monitor)
-		if every <= 0 {
+		if every == 0 {
 			every = 10000
 		}
-		httpMon.SetRuns(1)
-		httpMon.Watch(m.Kernel(), pb.Registry(), every)
-		fmt.Fprintf(os.Stderr, "mermaid: monitoring on http://%s (/metrics, /progress)\n", httpMon.Addr())
+		if err := m.Kernel().Sample(every, func(at pearl.Time) {
+			for _, sample := range samplers {
+				sample(at)
+			}
+		}); err != nil {
+			fatal(err)
+		}
 	}
 
 	res, err := runOnce(m)
 	if err != nil {
 		fatal(err)
 	}
-	httpMon.RunDone()
-	httpMon.Finish()
+	scope.RunDone()
+	scope.Finish()
 	if *reportPath != "" {
 		if res.Analysis == nil {
 			fatal(fmt.Errorf("-report: run produced no analysis"))
@@ -350,24 +366,10 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "mermaid: wrote %s\n", *hostMetrics)
 	}
-	if mon := m.Monitor(); mon != nil {
+	if series != nil {
 		fmt.Println("\nrun-time monitor:")
-		if err := mon.Render(os.Stdout); err != nil {
+		if err := series.Render(os.Stdout); err != nil {
 			fatal(err)
-		}
-		if *monitorCSV != "" {
-			f, err := os.Create(*monitorCSV)
-			if err != nil {
-				fatal(err)
-			}
-			if err := mon.RenderCSV(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "mermaid: wrote %s\n", *monitorCSV)
 		}
 	}
 }
@@ -545,17 +547,17 @@ func runExperimentSet(w io.Writer, exps []experiments.Experiment, csv bool, work
 // runReplicated executes the configured run `repeats` times with per-replica
 // derived seeds, farming the replicas across `workers` host goroutines, and
 // reports one row per replica plus batch aggregates — including the message
-// latency distribution merged across every replica. A non-nil monitor is fed
+// latency distribution merged across every replica. A non-nil scope is fed
 // run completions for its /progress endpoint.
-func runReplicated(w io.Writer, cfg machine.Config, name string, repeats, workers int, mon *analysis.Monitor, host *hostprobe.Trace, runOnce func(*machine.Machine) (*machine.Result, error)) error {
+func runReplicated(w io.Writer, cfg machine.Config, name string, repeats, workers int, scope *analysis.Scope, host *hostprobe.Trace, runOnce func(*machine.Machine) (*machine.Result, error)) error {
 	pool := farm.New(workers)
 	pool.Repeats = repeats
 	pool.Seed = cfg.Seed
 	pool.Host = host
-	mon.SetRuns(repeats)
+	scope.SetRuns(repeats)
 	pool.OnResult = func(res farm.Result) {
-		mon.ObserveRun(res.Cycles, res.Events)
-		mon.RunDone()
+		scope.ObserveRun(res.Cycles, res.Events)
+		scope.RunDone()
 	}
 	job := farm.Job{Name: name, Run: func(rc *farm.RunContext) (any, error) {
 		c := cfg
@@ -580,7 +582,7 @@ func runReplicated(w io.Writer, cfg machine.Config, name string, repeats, worker
 		return nil, nil
 	}}
 	rep := pool.Run([]farm.Job{job})
-	mon.Finish()
+	scope.Finish()
 	fmt.Fprintf(w, "%d replications of %s (%s), seeds derived from %d:\n", repeats, name, cfg.Name, cfg.Seed)
 	if err := rep.Table().Render(w); err != nil {
 		return err

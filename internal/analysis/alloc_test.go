@@ -7,9 +7,9 @@ import (
 )
 
 // The disabled analyzer must be free: every model calls the Collector
-// unconditionally, so with analysis off (nil *Collector, nil *Monitor) none
-// of those calls may allocate. These gates keep the bottleneck engine from
-// taxing uninstrumented simulations.
+// unconditionally, so with analysis off (nil *Collector, nil *Monitor and
+// *Scope) none of those calls may allocate. These gates keep the bottleneck
+// engine from taxing uninstrumented simulations.
 
 func TestAllocFreeNilCollector(t *testing.T) {
 	if raceEnabled {
@@ -37,16 +37,18 @@ func TestAllocFreeNilMonitor(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	var m *Monitor
+	var s *Scope
 	k := pearl.NewKernel()
 	if got := testing.AllocsPerRun(200, func() {
-		m.Watch(k, nil, 100)
-		m.SetRuns(3)
-		m.RunDone()
-		m.Finish()
+		s.Sample(k, nil)
+		s.ObserveRun(10, 1)
+		s.SetRuns(3)
+		s.RunDone()
+		s.Finish()
 		_ = m.Addr()
 		_ = m.Close()
 	}); got != 0 {
-		t.Errorf("nil monitor allocates %v times per op; want 0", got)
+		t.Errorf("nil monitor and scope allocate %v times per op; want 0", got)
 	}
 }
 

@@ -19,12 +19,13 @@ import (
 )
 
 // Scope is the live state of one monitored simulation: a mutex-protected
-// snapshot that the simulation side writes (from its own goroutine, or from
-// farm workers via ObserveRun/RunDone) and any number of HTTP handlers read.
+// snapshot that the simulation side writes (Sample from the kernel's
+// sampling hook, or ObserveRun/RunDone from farm workers) and any number of
+// HTTP handlers read.
 //
-// A Monitor owns one process-wide scope — the single-invocation CLI case —
-// while the simulation server gives every job its own scope, so two jobs
-// running concurrently report independent progress and metrics streams.
+// The CLI serves one scope through a Monitor, while the simulation server
+// gives every job its own scope, so two jobs running concurrently report
+// independent progress and metrics streams.
 //
 // A nil *Scope is the disabled scope: every method no-ops without
 // allocating.
@@ -68,38 +69,18 @@ type progressJSON struct {
 	Done          bool    `json:"done"`
 }
 
-// Watch installs a self-rescheduling daemon event on the kernel that samples
-// the kernel and registry every `every` cycles of virtual time. Call from the
-// simulation goroutine before Run. Daemon events never keep a run alive, so
-// watching does not perturb termination — or any other aspect of the
-// simulation's virtual time.
-func (s *Scope) Watch(k *pearl.Kernel, reg *probe.Registry, every pearl.Time) {
-	if s == nil || k == nil || every <= 0 {
-		return
-	}
-	var tick func()
-	tick = func() {
-		s.Sample(k, reg)
-		k.AtDaemon(k.Now()+every, tick)
-	}
-	k.AtDaemon(k.Now()+every, tick)
-}
-
 // Sample copies the current kernel and registry state into the snapshot.
-// Watch calls it periodically; callers that need the exact end-of-run values
-// (the daemon tick may predate the last event) call it once more after the
-// run completes. Must run on the simulation goroutine.
+// Call it from the kernel's sampling hook, which also takes the end-of-run
+// sample, so the snapshot ends with the exact end-of-run values:
+//
+//	k.Sample(every, func(pearl.Time) { s.Sample(k, reg) })
+//
+// Must run on the simulation goroutine.
 func (s *Scope) Sample(k *pearl.Kernel, reg *probe.Registry) {
 	if s == nil {
 		return
 	}
-	var ms []metricSample
-	if n := reg.Len(); n > 0 {
-		ms = make([]metricSample, 0, n)
-		for _, e := range reg.Entries() {
-			ms = append(ms, metricSample{name: e.Name, unit: e.Unit, value: e.Read()})
-		}
-	}
+	ms := readRegistry(reg)
 	s.mu.Lock()
 	s.snap.virtual = int64(k.Now())
 	s.snap.events = k.EventCount()
@@ -159,34 +140,9 @@ func (s *Scope) WriteMetrics(w io.Writer) error {
 		return nil
 	}
 	s.mu.Lock()
-	ms := make([]metricSample, len(s.snap.metrics))
-	copy(ms, s.snap.metrics)
-	virtual := s.snap.virtual
-	events := s.snap.events
+	snap := s.snap // Sample replaces the metrics slice, never mutates it
 	s.mu.Unlock()
-
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
-	names := make([]string, len(ms))
-	for i := range ms {
-		names[i] = ms[i].name
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE mermaid_virtual_cycles gauge\nmermaid_virtual_cycles %d\n", virtual); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE mermaid_events_total counter\nmermaid_events_total %d\n", events); err != nil {
-		return err
-	}
-	for i, n := range promNames(names) {
-		if ms[i].unit != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s unit: %s\n", n, ms[i].unit); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", n, n, ms[i].value); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeProm(w, &snap, snap.metrics)
 }
 
 // WriteProgress renders the scope's completion state as the /progress JSON
@@ -212,36 +168,39 @@ func (s *Scope) WriteProgress(w io.Writer) error {
 	return enc.Encode(p)
 }
 
-// Monitor serves live run state over HTTP while a simulation executes:
-// GET /metrics returns the probe registry in Prometheus text exposition
+// Monitor serves a Scope over HTTP while a simulation executes: GET
+// /metrics returns the scope's last sample in Prometheus text exposition
 // format, GET /progress returns a JSON snapshot of virtual time, wall time,
-// event throughput and experiment completion.
+// event throughput and run completion.
 //
-// The simulation goroutine owns the kernel and registry; the monitor never
-// touches them from handler goroutines. Instead its Scope periodically
-// copies the interesting values into a mutex-protected snapshot, and the
-// HTTP handlers serve from that snapshot.
+// The simulation goroutine owns the kernel and registry; the handlers never
+// touch them. They serve the scope's snapshot, which the simulation side
+// fills through the scope's methods.
 //
 // A nil *Monitor is the disabled monitor: every method no-ops without
 // allocating.
 type Monitor struct {
-	ln    net.Listener
-	srv   *http.Server
-	scope *Scope
+	ln  net.Listener
+	srv *http.Server
 }
 
-// NewMonitor starts serving on addr (host:port; port 0 picks a free port).
-// Returns an error if the address cannot be bound.
-func NewMonitor(addr string) (*Monitor, error) {
+// NewMonitor starts serving s on addr (host:port; port 0 picks a free
+// port). Returns an error if the address cannot be bound.
+func NewMonitor(addr string, s *Scope) (*Monitor, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	m := &Monitor{ln: ln, scope: NewScope()}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", m.handleMetrics)
-	mux.HandleFunc("/progress", m.handleProgress)
-	m.srv = &http.Server{Handler: mux}
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		s.WriteMetrics(w) //nolint:errcheck // best-effort over HTTP
+	})
+	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		s.WriteProgress(w) //nolint:errcheck // best-effort over HTTP
+	})
+	m := &Monitor{ln: ln, srv: &http.Server{Handler: mux}}
 	go m.srv.Serve(ln) //nolint:errcheck // closed via Close
 	return m, nil
 }
@@ -253,37 +212,6 @@ func (m *Monitor) Addr() string {
 	}
 	return m.ln.Addr().String()
 }
-
-// Scope returns the monitor's process-wide scope, or nil on a nil monitor.
-func (m *Monitor) Scope() *Scope {
-	if m == nil {
-		return nil
-	}
-	return m.scope
-}
-
-// Watch installs a self-rescheduling daemon event on the kernel that samples
-// the kernel and registry every `every` cycles of virtual time. Call from the
-// simulation goroutine before Run.
-func (m *Monitor) Watch(k *pearl.Kernel, reg *probe.Registry, every pearl.Time) {
-	m.Scope().Watch(k, reg, every)
-}
-
-// ObserveRun accumulates a completed run's simulated volume. Safe to call
-// from worker goroutines.
-func (m *Monitor) ObserveRun(cycles pearl.Time, events uint64) {
-	m.Scope().ObserveRun(cycles, events)
-}
-
-// SetRuns declares how many runs (experiments × repeats) the invocation will
-// execute, for the completion fraction in /progress.
-func (m *Monitor) SetRuns(n int) { m.Scope().SetRuns(n) }
-
-// RunDone marks one run complete. Safe to call from farm worker goroutines.
-func (m *Monitor) RunDone() { m.Scope().RunDone() }
-
-// Finish marks the whole invocation complete; /progress reports done:true.
-func (m *Monitor) Finish() { m.Scope().Finish() }
 
 // closeDeadline bounds how long Close waits for in-flight scrapes.
 const closeDeadline = 2 * time.Second
@@ -350,14 +278,36 @@ func sanitizeProm(name string) string {
 // metrics. Unlike a Scope — which serves values sampled on the simulation
 // goroutine — this reads the registry's gauges directly, so it is only for
 // registries whose readers are safe to call from HTTP handlers (the
-// simulation server's own service counters, not a live machine model).
+// simulation server's own service counters, host telemetry), not a live
+// machine model.
 func WriteRegistryMetrics(w io.Writer, reg *probe.Registry) error {
-	entries := reg.Entries()
-	ms := make([]metricSample, 0, len(entries))
-	for _, e := range entries {
+	return writeProm(w, nil, readRegistry(reg))
+}
+
+// readRegistry evaluates every registry metric, sorted by name.
+func readRegistry(reg *probe.Registry) []metricSample {
+	if reg.Len() == 0 {
+		return nil
+	}
+	ms := make([]metricSample, 0, reg.Len())
+	for _, e := range reg.Entries() {
 		ms = append(ms, metricSample{name: e.Name, unit: e.Unit, value: e.Read()})
 	}
 	sort.SliceStable(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
+	return ms
+}
+
+// writeProm is the one Prometheus text exposition writer: per-job scopes,
+// the server's service registry and host telemetry all render through it.
+// A non-nil clock leads with the virtual-cycle gauge and the event counter;
+// ms, sorted by name, follow as gauges under collision-free names.
+func writeProm(w io.Writer, clock *snapshot, ms []metricSample) error {
+	if clock != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE mermaid_virtual_cycles gauge\nmermaid_virtual_cycles %d\n"+
+			"# TYPE mermaid_events_total counter\nmermaid_events_total %d\n", clock.virtual, clock.events); err != nil {
+			return err
+		}
+	}
 	names := make([]string, len(ms))
 	for i := range ms {
 		names[i] = ms[i].name
@@ -375,11 +325,6 @@ func WriteRegistryMetrics(w io.Writer, reg *probe.Registry) error {
 	return nil
 }
 
-func (m *Monitor) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m.scope.WriteMetrics(w) //nolint:errcheck // best-effort over HTTP
-}
-
 // eventsPerSec computes the host event throughput, reporting 0 when the
 // interval is degenerate: a zero or negative wall clock (a request landing in
 // the same tick the monitor started, or a stepped clock) must not divide to
@@ -393,9 +338,4 @@ func eventsPerSec(events uint64, wallSeconds float64) float64 {
 		return 0
 	}
 	return rate
-}
-
-func (m *Monitor) handleProgress(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	m.scope.WriteProgress(w) //nolint:errcheck // best-effort over HTTP
 }

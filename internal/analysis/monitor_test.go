@@ -29,11 +29,13 @@ func get(t *testing.T, url string) (string, string) {
 	return string(body), resp.Header.Get("Content-Type")
 }
 
-// The monitor serves live kernel and registry state over HTTP without
-// touching the simulation from handler goroutines: /metrics is Prometheus
-// text exposition, /progress is a JSON snapshot with run completion.
+// The monitor serves a scope's live kernel and registry state over HTTP
+// without touching the simulation from handler goroutines: /metrics is
+// Prometheus text exposition, /progress is a JSON snapshot with run
+// completion.
 func TestMonitorEndpoints(t *testing.T) {
-	mon, err := analysis.NewMonitor("127.0.0.1:0")
+	scope := analysis.NewScope()
+	mon, err := analysis.NewMonitor("127.0.0.1:0", scope)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +55,13 @@ func TestMonitorEndpoints(t *testing.T) {
 			p.Hold(10)
 		}
 	})
-	mon.SetRuns(3)
-	mon.Watch(k, reg, 50)
+	scope.SetRuns(3)
+	if err := k.Sample(50, func(pearl.Time) { scope.Sample(k, reg) }); err != nil {
+		t.Fatal(err)
+	}
 	k.RunUntil(1000)
-	mon.RunDone()
-	mon.RunDone()
+	scope.RunDone()
+	scope.RunDone()
 
 	metrics, ctype := get(t, "http://"+mon.Addr()+"/metrics")
 	if !strings.HasPrefix(ctype, "text/plain") {
@@ -65,6 +69,7 @@ func TestMonitorEndpoints(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE mermaid_virtual_cycles gauge",
+		"mermaid_virtual_cycles 1000",
 		"# TYPE mermaid_events_total counter",
 		"# TYPE mermaid_net_messages gauge",
 		"mermaid_net_messages 42",
@@ -89,8 +94,8 @@ func TestMonitorEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(progress), &p); err != nil {
 		t.Fatalf("/progress is not valid JSON: %v\n%s", err, progress)
 	}
-	if p.VirtualCycles == 0 {
-		t.Error("/progress reports zero virtual cycles after a 1000-cycle run")
+	if p.VirtualCycles != 1000 || p.Events != k.EventCount() {
+		t.Errorf("/progress = %d cycles, %d events; want the end-of-run 1000, %d", p.VirtualCycles, p.Events, k.EventCount())
 	}
 	if p.RunsDone != 2 || p.RunsTotal != 3 {
 		t.Errorf("/progress runs = %d/%d, want 2/3", p.RunsDone, p.RunsTotal)
@@ -99,7 +104,7 @@ func TestMonitorEndpoints(t *testing.T) {
 		t.Error("/progress reports done before Finish")
 	}
 
-	mon.Finish()
+	scope.Finish()
 	progress, _ = get(t, "http://"+mon.Addr()+"/progress")
 	if err := json.Unmarshal([]byte(progress), &p); err != nil {
 		t.Fatal(err)
@@ -108,10 +113,9 @@ func TestMonitorEndpoints(t *testing.T) {
 		t.Error("/progress does not report done after Finish")
 	}
 
-	// Daemon sampling must not keep a run alive or advance virtual time: the
-	// kernel stopped when the worker finished or at the horizon, whichever
-	// came first, regardless of the monitor's tick schedule.
-	if now := k.Now(); now > 1000 {
-		t.Errorf("monitor ticks advanced virtual time to %d past the horizon", now)
+	// Sampling is not an event: the 100 holds are the only events, and the
+	// run's clock is the worker's.
+	if k.EventCount() != 101 || k.Now() != 1000 {
+		t.Errorf("sampled run: %d events at %d, want 101 at 1000", k.EventCount(), k.Now())
 	}
 }

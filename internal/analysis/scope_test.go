@@ -28,9 +28,11 @@ func TestScopesAreIndependent(t *testing.T) {
 			}
 		})
 		s.SetRuns(1)
-		s.Watch(k, pb.Registry(), 25)
+		// The hook's end-of-run sample leaves the exact final state.
+		if err := k.Sample(25, func(pearl.Time) { s.Sample(k, pb.Registry()) }); err != nil {
+			t.Fatal(err)
+		}
 		k.Run()
-		s.Sample(k, pb.Registry())
 		s.RunDone()
 		s.Finish()
 		return s
@@ -81,7 +83,6 @@ func TestScopesAreIndependent(t *testing.T) {
 // A nil scope accepts every call as a no-op, like the nil monitor.
 func TestNilScope(t *testing.T) {
 	var s *analysis.Scope
-	s.Watch(pearl.NewKernel(), nil, 10)
 	s.Sample(pearl.NewKernel(), nil)
 	s.ObserveRun(100, 10)
 	s.SetRuns(1)
@@ -100,7 +101,8 @@ func TestNilScope(t *testing.T) {
 // while Close runs; every response that arrives without a transport error
 // must be a complete document, never a cut-off body.
 func TestMonitorCloseGraceful(t *testing.T) {
-	mon, err := analysis.NewMonitor("127.0.0.1:0")
+	scope := analysis.NewScope()
+	mon, err := analysis.NewMonitor("127.0.0.1:0", scope)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +114,11 @@ func TestMonitorCloseGraceful(t *testing.T) {
 			p.Hold(10)
 		}
 	})
-	mon.Watch(k, pb.Registry(), 50)
+	if err := k.Sample(50, func(pearl.Time) { scope.Sample(k, pb.Registry()) }); err != nil {
+		t.Fatal(err)
+	}
 	k.Run()
-	mon.Finish()
+	scope.Finish()
 
 	addr := mon.Addr()
 	var wg sync.WaitGroup

@@ -136,9 +136,10 @@ func writeLogHist(ew *errWriter, label string, h *pearl.LogHist) {
 
 // RegisterShardStats exposes the telemetry as gauges under stable dotted
 // names ("host.shard0.busy", "host.windows", ...), so the parallel engine's
-// efficiency can be scraped or written in Prometheus text form through
-// analysis.WriteRegistryMetrics. Durations are reported in seconds, the
-// Prometheus convention.
+// efficiency can be written in Prometheus text form by
+// analysis.WriteRegistryMetrics, through the same exposition writer that
+// serves per-job scopes. Durations are reported in seconds, the Prometheus
+// convention.
 func RegisterShardStats(reg *probe.Registry, tel *pearl.ShardTelemetry) {
 	if reg == nil || tel == nil {
 		return

@@ -277,10 +277,13 @@ func TestGoldenDetailed(t *testing.T) {
 	}
 }
 
-// TestInstrumentationDoesNotPerturb: attaching the timeline and the
-// bottleneck collector must not change a run. Cycles, events and the
-// rendered report (less the probe registry, present only with a probe) are
-// compared with and without instrumentation.
+// TestInstrumentationDoesNotPerturb: attaching an observer must not change
+// a run. The observers are the timeline with the bottleneck collector, and
+// three readers on the kernel's sampling hook: registry sampling (-metrics),
+// the run-time monitor series (-monitor) and a live analysis scope
+// (-monitor-addr, mermaidd). Cycles, events and the rendered report (less
+// the probe registry, present only with a probe) are compared with a plain
+// run.
 func TestInstrumentationDoesNotPerturb(t *testing.T) {
 	task := T805GridTaskLevel(3, 3)
 	task.Seed = 8
@@ -290,6 +293,59 @@ func TestInstrumentationDoesNotPerturb(t *testing.T) {
 	})
 	detailed := T805Grid(3, 3)
 	detailed.Seed = 6
+	// A sampling interval that does not divide either run's length, so the
+	// boundary ticks fall between events and the end-of-run sample is one
+	// more tick.
+	const every pearl.Time = 997
+
+	// An instrument prepares the environment, attaches its observer to the
+	// built machine, and reports whether the observer recorded the run.
+	type instrument struct {
+		name    string
+		prepare func(env *sim.Env)
+		attach  func(t *testing.T, env sim.Env, m *Machine) (recorded func(*Result) bool)
+	}
+	withRegistry := func(env *sim.Env) { env.Probe = probe.New(probe.Config{}) }
+	sample := func(t *testing.T, m *Machine, fn func(pearl.Time)) {
+		if err := m.Kernel().Sample(every, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	instruments := []instrument{
+		{"timeline+collector",
+			func(env *sim.Env) {
+				env.Probe = probe.New(probe.Config{Timeline: true})
+				env.Collect = analysis.New()
+			},
+			func(t *testing.T, env sim.Env, m *Machine) func(*Result) bool {
+				return func(res *Result) bool { return res.Analysis != nil && env.Timeline().Events() > 0 }
+			}},
+		{"registry-sampling", withRegistry,
+			func(t *testing.T, env sim.Env, m *Machine) func(*Result) bool {
+				reg := env.Registry()
+				sample(t, m, reg.Sample)
+				return func(res *Result) bool {
+					s := reg.Lookup("kernel.events").Series
+					return s.Len() > 1 && s.T[s.Len()-1] == int64(res.Cycles)
+				}
+			}},
+		{"run-series", nil,
+			func(t *testing.T, env sim.Env, m *Machine) func(*Result) bool {
+				rs := NewRunSeries(m)
+				sample(t, m, rs.Sample)
+				return func(res *Result) bool {
+					return rs.Events.Len() > 1 && rs.Events.V[rs.Events.Len()-1] == float64(res.Events)
+				}
+			}},
+		{"scope", withRegistry,
+			func(t *testing.T, env sim.Env, m *Machine) func(*Result) bool {
+				scope := analysis.NewScope()
+				k, reg := m.Kernel(), env.Registry()
+				var last pearl.Time
+				sample(t, m, func(at pearl.Time) { scope.Sample(k, reg); last = at })
+				return func(res *Result) bool { return last == res.Cycles }
+			}},
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -299,21 +355,24 @@ func TestInstrumentationDoesNotPerturb(t *testing.T) {
 		{"detailed", detailed, func(m *Machine) (*Result, error) { return m.RunProgram(workload.Jacobi1D(9, 90, 2)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(instrument bool) (*Result, string) {
+			run := func(t *testing.T, in *instrument) (*Result, string) {
 				env := sim.NewEnv(tc.cfg.Seed, nil)
-				if instrument {
-					env.Probe = probe.New(probe.Config{Timeline: true})
-					env.Collect = analysis.New()
+				if in != nil && in.prepare != nil {
+					in.prepare(&env)
 				}
 				m, err := Build(env, tc.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				var recorded func(*Result) bool
+				if in != nil {
+					recorded = in.attach(t, env, m)
+				}
 				res, err := tc.run(m)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if instrument && (res.Analysis == nil || env.Timeline().Events() == 0) {
+				if recorded != nil && !recorded(res) {
 					t.Fatal("instrumented run recorded nothing")
 				}
 				kept := res.Stats.Subsets[:0:0]
@@ -329,14 +388,22 @@ func TestInstrumentationDoesNotPerturb(t *testing.T) {
 				}
 				return res, b.String()
 			}
-			off, offReport := run(false)
-			on, onReport := run(true)
-			if on.Cycles != off.Cycles || on.Events != off.Events {
-				t.Errorf("instrumented run: %d cycles, %d events; plain run: %d cycles, %d events",
-					on.Cycles, on.Events, off.Cycles, off.Events)
+			off, offReport := run(t, nil)
+			if off.Cycles%every == 0 {
+				t.Fatalf("the sampling interval %d divides the run length %d", every, off.Cycles)
 			}
-			if onReport != offReport {
-				t.Errorf("instrumentation changed the report\n--- plain ---\n%s\n--- instrumented ---\n%s", offReport, onReport)
+			for i := range instruments {
+				in := &instruments[i]
+				t.Run(in.name, func(t *testing.T) {
+					on, onReport := run(t, in)
+					if on.Cycles != off.Cycles || on.Events != off.Events {
+						t.Errorf("instrumented run: %d cycles, %d events; plain run: %d cycles, %d events",
+							on.Cycles, on.Events, off.Cycles, off.Events)
+					}
+					if onReport != offReport {
+						t.Errorf("instrumentation changed the report\n--- plain ---\n%s\n--- instrumented ---\n%s", offReport, onReport)
+					}
+				})
 			}
 		})
 	}

@@ -202,7 +202,6 @@ type Machine struct {
 	nodes []*node.Node
 	dsm   *dsm.Layer
 	inj   *fault.Injector
-	mon   *Monitor
 	col   *analysis.Collector
 
 	// Parallel-engine state (nil/empty when cfg.Shards == 0): the shard

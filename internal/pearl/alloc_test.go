@@ -108,3 +108,50 @@ func TestAllocFreeHold(t *testing.T) {
 		t.Errorf("Hold loop allocates %v times per RunUntil slice; want 0", got)
 	}
 }
+
+// Without a sampler the dispatch loop and Run's end-of-run check must stay
+// allocation-free.
+func TestAllocFreeUnsampledRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	k := NewKernel()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		k.After(1, fn)
+		k.Run()
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		k.After(1, fn)
+		k.Run()
+	}); got != 0 {
+		t.Errorf("unsampled After(1)+Run allocates %v times per op; want 0", got)
+	}
+}
+
+// A sampler tick — a boundary passed in dispatch plus the end-of-run sample —
+// must not allocate in the kernel.
+func TestAllocFreeSamplerTick(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	k := NewKernel()
+	ticks := 0
+	if err := k.Sample(1, func(Time) { ticks++ }); err != nil {
+		t.Fatal(err)
+	}
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		k.After(2, fn)
+		k.Run()
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		k.After(2, fn)
+		k.Run()
+	}); got != 0 {
+		t.Errorf("sampled After(2)+Run allocates %v times per op; want 0", got)
+	}
+	if ticks == 0 {
+		t.Fatal("sampler never ran")
+	}
+}

@@ -150,6 +150,13 @@ type Kernel struct {
 	// instrumentation layer. The hook sits on the process activation path,
 	// not the event loop, so pure-event workloads pay nothing.
 	tracer Tracer
+
+	// The virtual-time sampler (see Sample). sampleAt is the next boundary;
+	// without a sampler it stays at Forever, so dispatch pays one compare.
+	sampleFn    func(at Time)
+	sampleEvery Time
+	sampleAt    Time
+	sampled     Time // last instant passed to sampleFn
 }
 
 // Tracer observes process scheduling. ProcessSpan is called when a process
@@ -177,7 +184,7 @@ func (ts Tracers) ProcessSpan(p *Process, from, to Time, reason string) {
 
 // NewKernel returns an empty kernel at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{}
+	return &Kernel{sampleAt: Forever}
 }
 
 // Now returns the current virtual time.
@@ -246,16 +253,59 @@ func (k *Kernel) After(d Time, fn func()) Timer {
 // AtDaemon schedules fn at absolute virtual time t like At, except that the
 // event never determines when the simulation ends: it fires in strict
 // (time, sequence) order while non-daemon work remains, but Run returns —
-// leaving it queued, unfired — once only daemon events are left. Background
-// chains (fault schedules, periodic samplers) use this so a plan that
-// outlives the workload cannot extend the run. RunUntil, whose horizon is
-// the caller's and not the schedule's, fires daemon events like any other.
+// leaving it queued, unfired — once only daemon events are left. The fault
+// schedule uses this so a plan that outlives the workload cannot extend the
+// run. RunUntil, whose horizon is the caller's and not the schedule's, fires
+// daemon events like any other. Daemon events are still counted events, so
+// observers that only read state use Sample instead.
 func (k *Kernel) AtDaemon(t Time, fn func()) Timer {
 	if t < k.now {
 		panic(fmt.Sprintf("pearl: scheduling event at %d, before current time %d", t, k.now))
 	}
 	k.daemons++
 	return k.schedule(t, evDaemon, fn, nil)
+}
+
+// Sample attaches the kernel's one virtual-time sampler. For every multiple
+// b of every that the clock passes, fn(b) runs after the last event at or
+// before b and before the first event after it, with Now() reading b; and
+// whenever Run or RunUntil returns, fn(Now()) runs once more unless that
+// instant was just sampled, so the series always ends with the end-of-run
+// state. The hook is not an event: it never enters the queue, is counted in
+// neither EventCount nor DaemonEvents, and cannot extend or reorder a run,
+// so a sampled simulation produces exactly the results of an unsampled one.
+// fn must only read model state; it must not schedule events or re-enter
+// the kernel. Sample rejects a non-positive interval and a second sampler.
+func (k *Kernel) Sample(every Time, fn func(at Time)) error {
+	if every <= 0 {
+		return fmt.Errorf("pearl: sampling interval %d", every)
+	}
+	if k.sampleFn != nil {
+		return fmt.Errorf("pearl: kernel already has a sampler")
+	}
+	k.sampleFn, k.sampleEvery = fn, every
+	k.sampleAt = (k.now/every + 1) * every
+	k.sampled = -1
+	return nil
+}
+
+// sampleBefore runs the sampler at every boundary strictly before t. The
+// clock reads each boundary while fn runs; the caller moves it on to t.
+func (k *Kernel) sampleBefore(t Time) {
+	for k.sampleAt < t {
+		k.now = k.sampleAt
+		k.sampled = k.now
+		k.sampleAt += k.sampleEvery
+		k.sampleFn(k.now)
+	}
+}
+
+// sampleEnd takes the end-of-run sample of Run and RunUntil.
+func (k *Kernel) sampleEnd() {
+	if k.sampleFn != nil && k.sampled != k.now {
+		k.sampled = k.now
+		k.sampleFn(k.now)
+	}
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -380,6 +430,9 @@ func (k *Kernel) step() bool {
 	if s.at < k.now {
 		panic("pearl: time went backwards")
 	}
+	if s.at > k.sampleAt {
+		k.sampleBefore(s.at)
+	}
 	k.now = s.at
 	k.eventCount++
 	k.live--
@@ -410,6 +463,7 @@ func (k *Kernel) Run() Time {
 	k.stopped = false
 	for !k.stopped && k.live > k.daemons && k.step() {
 	}
+	k.sampleEnd()
 	return k.now
 }
 
@@ -425,15 +479,26 @@ func (k *Kernel) RunUntil(t Time) Time {
 			break
 		}
 		if k.slots[idx].at > t {
-			k.now = t
+			k.clockTo(t)
+			k.sampleEnd()
 			return k.now
 		}
 		k.step()
 	}
 	if !k.stopped && k.now < t && k.live == 0 {
-		k.now = t
+		k.clockTo(t)
 	}
+	k.sampleEnd()
 	return k.now
+}
+
+// clockTo sets the clock to t without an event, sampling the boundaries it
+// passes on the way.
+func (k *Kernel) clockTo(t Time) {
+	if t > k.sampleAt {
+		k.sampleBefore(t)
+	}
+	k.now = t
 }
 
 // Idle reports whether no events remain scheduled. Cancelled entries still

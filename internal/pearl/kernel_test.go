@@ -1,6 +1,7 @@
 package pearl
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -380,5 +381,109 @@ func TestRunUntilFiresDaemonEvents(t *testing.T) {
 	}
 	if !fired {
 		t.Fatal("daemon event within the horizon did not fire")
+	}
+}
+
+// sampleRecord is one sampler call: the boundary passed, the clock and the
+// model state it observed.
+type sampleRecord struct {
+	at, now Time
+	state   int
+}
+
+// The sampler runs after every event at or before a boundary and before the
+// first event after it, ends with the end-of-run state, and changes neither
+// the clock's end point nor the event count.
+func TestSampleBoundariesAndEnd(t *testing.T) {
+	run := func(sampled bool) (Time, uint64, []sampleRecord) {
+		k := NewKernel()
+		state := 0
+		var got []sampleRecord
+		if sampled {
+			if err := k.Sample(10, func(at Time) {
+				got = append(got, sampleRecord{at, k.Now(), state})
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k.At(5, func() { state = 1 })
+		k.At(20, func() { state = 2 }) // on a boundary: sampled after it
+		k.At(35, func() { state = 3 })
+		k.AtDaemon(50, func() { state = 99 }) // left unfired: never sampled
+		end := k.Run()
+		if k.DaemonEvents() != 0 {
+			t.Fatalf("DaemonEvents = %d, want 0", k.DaemonEvents())
+		}
+		return end, k.EventCount(), got
+	}
+	plainEnd, plainEvents, _ := run(false)
+	end, events, got := run(true)
+	if end != plainEnd || events != plainEvents {
+		t.Fatalf("sampled run: end %d, %d events; plain: end %d, %d events", end, events, plainEnd, plainEvents)
+	}
+	want := []sampleRecord{{10, 10, 1}, {20, 20, 2}, {30, 30, 2}, {35, 35, 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("samples = %v, want %v", got, want)
+	}
+}
+
+// A run that ends on a boundary is sampled there once, and a run shorter
+// than one interval still gets its end-of-run sample.
+func TestSampleEndOnBoundaryAndShortRun(t *testing.T) {
+	for _, tc := range []struct {
+		every Time
+		want  []Time
+	}{
+		{10, []Time{10, 20, 30}},
+		{1000, []Time{30}},
+	} {
+		k := NewKernel()
+		var got []Time
+		if err := k.Sample(tc.every, func(at Time) { got = append(got, at) }); err != nil {
+			t.Fatal(err)
+		}
+		k.At(30, func() {})
+		k.Run()
+		k.Run() // nothing left: the end instant was just sampled
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("every %d: samples at %v, want %v", tc.every, got, tc.want)
+		}
+	}
+}
+
+// RunUntil samples the boundaries its horizon passes, including those with
+// no event after them, and ends with a sample at the horizon.
+func TestSampleRunUntil(t *testing.T) {
+	k := NewKernel()
+	var got []Time
+	if err := k.Sample(10, func(at Time) { got = append(got, at) }); err != nil {
+		t.Fatal(err)
+	}
+	k.At(12, func() {})
+	k.At(100, func() {})
+	if end := k.RunUntil(35); end != 35 {
+		t.Fatalf("RunUntil ended at %d, want 35", end)
+	}
+	if want := []Time{10, 20, 30, 35}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("samples at %v, want %v", got, want)
+	}
+	if k.EventCount() != 1 {
+		t.Fatalf("EventCount = %d, want 1", k.EventCount())
+	}
+}
+
+func TestSampleValidation(t *testing.T) {
+	k := NewKernel()
+	fn := func(Time) {}
+	for _, every := range []Time{0, -5} {
+		if err := k.Sample(every, fn); err == nil {
+			t.Errorf("Sample accepted interval %d", every)
+		}
+	}
+	if err := k.Sample(10, fn); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Sample(10, fn); err == nil {
+		t.Error("Sample attached a second sampler")
 	}
 }

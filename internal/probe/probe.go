@@ -9,8 +9,8 @@
 //     time), exported in the Chrome trace-event JSON format so a run opens
 //     directly in Perfetto or chrome://tracing.
 //   - A Registry of named metrics that components register their existing
-//     stats counters into at construction, with a periodic virtual-time
-//     sampler feeding stats.Series and a CSV exporter.
+//     stats counters into at construction, sampled into stats.Series from
+//     the kernel's virtual-time sampling hook, with a CSV exporter.
 //
 // The layer is cheap when disabled: every method is safe on a nil receiver,
 // components hold nil Timeline/Registry pointers when no probe is attached,

@@ -31,9 +31,6 @@ func TestNilRegistryNoOps(t *testing.T) {
 	if r.Len() != 0 || r.Entries() != nil || r.Lookup("a.b") != nil || r.Dump() != nil {
 		t.Error("nil registry is not inert")
 	}
-	if err := r.StartSampler(pearl.NewKernel(), 10); err != nil {
-		t.Errorf("nil registry sampler: %v", err)
-	}
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Errorf("nil registry CSV: %v", err)
@@ -101,48 +98,40 @@ func TestRegistrySamplerAndCSV(t *testing.T) {
 	reg := p.Registry()
 	var c stats.Counter
 	reg.Counter("net.messages", &c)
-	if err := reg.StartSampler(k, 0); err == nil {
-		t.Fatal("StartSampler accepted a zero interval")
+	if err := k.Sample(0, reg.Sample); err == nil {
+		t.Fatal("the sampling hook accepted a zero interval")
 	}
-	if err := reg.StartSampler(k, 10); err != nil {
+	if err := k.Sample(10, reg.Sample); err != nil {
 		t.Fatal(err)
 	}
-	// Keep the simulation alive for 35 cycles; the counter grows along the way.
+	// The work ends at 35; the counter grows along the way.
 	k.After(5, func() { c.Add(1) })
 	k.After(15, func() { c.Add(1) })
 	k.After(35, func() {})
-	// The final tick (at 40) finds the schedule otherwise empty and stops
-	// without sampling — like the machine monitor, it does not keep a
-	// finished simulation alive beyond one interval.
-	end := k.Run()
-	if end != 40 {
-		t.Fatalf("simulation ended at %d, want 40 (final self-stopping tick)", end)
+	// The sampler is not an event, so it cannot outlive the work.
+	if end := k.Run(); end != 35 {
+		t.Fatalf("simulation ended at %d, want 35 (the last event)", end)
 	}
 	e := reg.Lookup("net.messages")
-	// The sampler fires at 10, 20 and 30; its tick at 40 finds the schedule
-	// empty and stops without sampling.
-	if e.Series.Len() != 3 {
-		t.Fatalf("samples = %d, want 3 (got T=%v)", e.Series.Len(), e.Series.T)
-	}
-	if e.Series.T[0] != 10 || e.Series.V[0] != 1 {
-		t.Errorf("sample[0] = (%d, %g), want (10, 1)", e.Series.T[0], e.Series.V[0])
-	}
-	if e.Series.T[2] != 30 || e.Series.V[2] != 2 {
-		t.Errorf("sample[2] = (%d, %g), want (30, 2)", e.Series.T[2], e.Series.V[2])
+	// Samples at the boundaries 10, 20 and 30, then the end-of-run sample.
+	wantT := []int64{10, 20, 30, 35}
+	wantV := []float64{1, 2, 2, 2}
+	if !reflect.DeepEqual(e.Series.T, wantT) || !reflect.DeepEqual(e.Series.V, wantV) {
+		t.Fatalf("samples T=%v V=%v, want T=%v V=%v", e.Series.T, e.Series.V, wantT, wantV)
 	}
 	var buf bytes.Buffer
 	if err := reg.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("CSV lines = %d, want header + 3 rows:\n%s", len(lines), buf.String())
+	if len(lines) != 5 {
+		t.Fatalf("CSV lines = %d, want header + 4 rows:\n%s", len(lines), buf.String())
 	}
 	if lines[0] != "cycle,net.messages" {
 		t.Errorf("CSV header = %q", lines[0])
 	}
-	if !strings.HasPrefix(lines[1], "10,") {
-		t.Errorf("CSV row 1 = %q", lines[1])
+	if !strings.HasPrefix(lines[1], "10,") || !strings.HasPrefix(lines[4], "35,") {
+		t.Errorf("CSV rows = %q", lines[1:])
 	}
 }
 

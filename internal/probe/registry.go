@@ -1,7 +1,6 @@
 package probe
 
 import (
-	"fmt"
 	"io"
 
 	"mermaid/internal/pearl"
@@ -9,12 +8,13 @@ import (
 )
 
 // Entry is one registered metric: a stable dotted name, a unit, and a read
-// function evaluated on demand (dump) or periodically (sampler).
+// function evaluated on demand (dump) or periodically (Sample, called from
+// the kernel's sampling hook).
 type Entry struct {
 	Name string
 	Unit string
 	Read func() float64
-	// Series collects the periodic samples when a sampler runs.
+	// Series collects the periodic samples Sample appends.
 	Series stats.Series
 }
 
@@ -95,29 +95,6 @@ func (r *Registry) Sample(at pearl.Time) {
 	}
 }
 
-// StartSampler schedules a periodic virtual-time sample every `every`
-// cycles on kernel k. Like the machine monitor, the sampler stops itself
-// when its event is the only thing left on the schedule, so it never keeps
-// a finished simulation alive. Call before the simulation runs.
-func (r *Registry) StartSampler(k *pearl.Kernel, every pearl.Time) error {
-	if every <= 0 {
-		return fmt.Errorf("probe: sampling interval %d", every)
-	}
-	if r == nil {
-		return nil
-	}
-	var tick func()
-	tick = func() {
-		if k.Idle() {
-			return
-		}
-		r.Sample(k.Now())
-		k.After(every, tick)
-	}
-	k.After(every, tick)
-	return nil
-}
-
 // Dump evaluates every metric now and returns them as one flat stats.Set
 // named "registry", in registration order — the stable-name counterpart of
 // the per-component Stats() trees.
@@ -133,7 +110,7 @@ func (r *Registry) Dump() *stats.Set {
 }
 
 // WriteCSV exports the sampled series as CSV: a cycle column followed by
-// one column per registered metric. Without a sampler run it writes only
+// one column per registered metric. Without any Sample call it writes only
 // the header.
 func (r *Registry) WriteCSV(w io.Writer) error {
 	if r == nil {

@@ -57,7 +57,8 @@ type Config struct {
 	// CacheEntries bounds the result cache (values below 1 mean 256).
 	CacheEntries int
 	// SampleEvery is the virtual-time interval of each job's live metric
-	// sampling (values below 1 mean 10000 cycles).
+	// sampling (values below 1 mean 10000 cycles). Sampling never changes a
+	// job's results, so the result-cache key leaves it out.
 	SampleEvery pearl.Time
 	// Log receives the service's structured operational log: one line per
 	// job-lifecycle event (accept, start, finish, fail, reject), each
@@ -316,8 +317,9 @@ func (s *Server) buildJob(spec *jobSpec) (machine.Config, stochastic.Desc, resul
 }
 
 // execute runs one job's simulation on a worker goroutine and renders its
-// artifacts. The job's scope is sampled live during the run and once more
-// at the end, so the stored metrics are the exact end-of-run values.
+// artifacts. The kernel's sampling hook feeds the job's scope during the run
+// and once more as it ends, so the stored metrics are the exact end-of-run
+// values.
 func (s *Server) execute(j *job, cfg machine.Config, desc stochastic.Desc) (resultcache.Entry, error) {
 	pb := probe.New(probe.Config{Timeline: true})
 	wb, err := core.New(cfg, core.WithProbe(pb), core.WithAnalysis())
@@ -328,12 +330,14 @@ func (s *Server) execute(j *job, cfg machine.Config, desc stochastic.Desc) (resu
 	if err != nil {
 		return resultcache.Entry{}, err
 	}
-	j.scope.Watch(m.Kernel(), pb.Registry(), s.cfg.SampleEvery)
+	k, reg := m.Kernel(), pb.Registry()
+	if err := k.Sample(s.cfg.SampleEvery, func(pearl.Time) { j.scope.Sample(k, reg) }); err != nil {
+		return resultcache.Entry{}, err
+	}
 	res, err := m.RunStochastic(desc)
 	if err != nil {
 		return resultcache.Entry{}, err
 	}
-	j.scope.Sample(m.Kernel(), pb.Registry())
 
 	var entry resultcache.Entry
 	var buf bytes.Buffer

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mermaid/internal/pearl"
 	"mermaid/internal/server"
 )
 
@@ -221,6 +222,63 @@ func TestSubmitPollFetchAndCacheHit(t *testing.T) {
 	if bytes.Equal(report1, report3) {
 		t.Error("different seeds produced byte-identical reports")
 	}
+}
+
+// A job's results do not depend on the live sampling interval: sampling
+// is not an event, so reports, end-of-run metrics and event counts are
+// byte-identical however often the scope is sampled — apart from the
+// report's three host-time lines, which differ between any two runs. The
+// cache key, which leaves SampleEvery out, relies on this.
+func TestResultsIndependentOfSampleEvery(t *testing.T) {
+	type outcome struct {
+		job             jobResp
+		report, metrics []byte
+	}
+	run := func(every pearl.Time) outcome {
+		_, ts := startServer(t, server.Config{Workers: 1, SampleEvery: every})
+		j, code := submit(t, ts, torusJob("sampled", 3, 4))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", code, j.Error)
+		}
+		done := waitDone(t, ts, j.ID)
+		report, code := get(t, ts, "/jobs/"+j.ID+"/report")
+		if code != http.StatusOK {
+			t.Fatalf("report: %d", code)
+		}
+		metrics, code := get(t, ts, "/jobs/"+j.ID+"/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("metrics: %d", code)
+		}
+		return outcome{done, simulatedLines(report), metrics}
+	}
+	fine, coarse := run(500), run(1_000_000)
+	if len(fine.report) == 0 {
+		t.Fatal("empty report")
+	}
+	if fine.job.Events != coarse.job.Events || fine.job.Cycles != coarse.job.Cycles {
+		t.Errorf("SampleEvery 500: %d cycles, %d events; 1000000: %d cycles, %d events",
+			fine.job.Cycles, fine.job.Events, coarse.job.Cycles, coarse.job.Events)
+	}
+	if !bytes.Equal(fine.report, coarse.report) {
+		t.Errorf("reports differ with the sampling interval\n--- 500 ---\n%s\n--- 1000000 ---\n%s", fine.report, coarse.report)
+	}
+	if !bytes.Equal(fine.metrics, coarse.metrics) {
+		t.Errorf("end-of-run metrics differ with the sampling interval\n--- 500 ---\n%s\n--- 1000000 ---\n%s", fine.metrics, coarse.metrics)
+	}
+}
+
+// simulatedLines drops the report lines that measure the host rather than
+// the simulation.
+func simulatedLines(report []byte) []byte {
+	var out []byte
+	for _, line := range bytes.SplitAfter(report, []byte("\n")) {
+		if bytes.HasPrefix(line, []byte("host wall time:")) || bytes.HasPrefix(line, []byte("sim speed:")) ||
+			bytes.HasPrefix(line, []byte("slowdown/proc:")) {
+			continue
+		}
+		out = append(out, line...)
+	}
+	return out
 }
 
 // Two jobs running concurrently must report independent progress streams:
