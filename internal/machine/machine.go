@@ -418,8 +418,15 @@ func (e *DeadlockError) Error() string {
 }
 
 // Run drives the machine with one trace source per stream and simulates to
-// completion, returning the measured result.
+// completion, returning the measured result. Once the result or the error
+// (deadlock diagnosis included) is built, the processes still parked on the
+// machine's kernels are stopped, so a finished machine holds no coroutines.
 func (m *Machine) Run(srcs []trace.Source) (*Result, error) {
+	defer func() {
+		for _, k := range m.kernels() {
+			k.Close()
+		}
+	}()
 	if err := m.attach(srcs); err != nil {
 		return nil, err
 	}

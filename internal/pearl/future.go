@@ -49,7 +49,7 @@ func (f *Future) CompleteAfter(d Time, v any) {
 func (p *Process) Await(f *Future) any {
 	for !f.done {
 		f.waiters = append(f.waiters, p)
-		p.park("await")
+		p.block("await")
 	}
 	return f.val
 }

@@ -6,7 +6,7 @@
 // time, with both synchronous (call/reply) and asynchronous message passing.
 //
 // The kernel is strictly deterministic: events at equal virtual times fire in
-// schedule order, and at most one process goroutine runs at any moment. Given
+// schedule order, and at most one process coroutine runs at any moment. Given
 // identical inputs, a simulation produces identical traces and statistics,
 // which the trace-validity guarantees of the environment rely on.
 //
@@ -44,7 +44,7 @@ const (
 	evFunc
 	// evHold resumes a process parked in Hold — no closure needed.
 	evHold
-	// evWake is an idempotent process activation (park/unpark) — no closure
+	// evWake is an idempotent process activation (unpark) — no closure
 	// needed.
 	evWake
 	// evDaemon runs a callback closure like evFunc, but the event never keeps
@@ -138,7 +138,7 @@ type Kernel struct {
 	settleq    []func()
 	settleHead int
 
-	// current is the process whose goroutine currently has control, or nil
+	// current is the process whose coroutine currently has control, or nil
 	// when the kernel itself (an event callback) is running.
 	current *Process
 
@@ -501,10 +501,6 @@ func (k *Kernel) clockTo(t Time) {
 	k.now = t
 }
 
-// Idle reports whether no events remain scheduled. Cancelled entries still
-// waiting to be discarded do not count.
-func (k *Kernel) Idle() bool { return k.live == 0 }
-
 // Blocked returns the processes that are alive but have no pending event to
 // resume them: with an idle kernel these are deadlocked (or waiting on
 // external input). Intended for diagnostics at end of simulation.
@@ -517,9 +513,6 @@ func (k *Kernel) Blocked() []*Process {
 	}
 	return out
 }
-
-// Processes returns all processes ever spawned on this kernel.
-func (k *Kernel) Processes() []*Process { return k.procs }
 
 // DaemonEvents returns how many daemon events have been executed. The
 // sharded runner uses it to normalise event counts: background chains

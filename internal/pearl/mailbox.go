@@ -107,7 +107,7 @@ func (p *Process) Receive(mb *Mailbox) any {
 			return msg
 		}
 		mb.waiters = append(mb.waiters, p)
-		p.park("receive " + mb.name)
+		p.block("receive " + mb.name)
 	}
 }
 
@@ -130,7 +130,7 @@ func (p *Process) ReceiveAny(mbs ...*Mailbox) (int, any) {
 		for _, mb := range mbs {
 			mb.waiters = append(mb.waiters, p)
 		}
-		p.park(fmt.Sprintf("receive-any (%d mailboxes)", len(mbs)))
+		p.block(fmt.Sprintf("receive-any (%d mailboxes)", len(mbs)))
 		for _, mb := range mbs {
 			mb.removeWaiter(p)
 		}

@@ -1,9 +1,14 @@
+//go:build go1.23
+
 package pearl
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Process is a simulation process: a goroutine whose execution is
-// interleaved with virtual time under strict kernel control. Model code
+// Process is a simulation process: a coroutine (iter.Pull) whose execution
+// is interleaved with virtual time under strict kernel control. Model code
 // inside a process body is written in a blocking style (Hold, Receive,
 // Acquire, Await); the kernel guarantees that exactly one process runs at a
 // time, so process bodies need no locking.
@@ -12,70 +17,54 @@ type Process struct {
 	name string
 	id   int
 
-	resume chan struct{} // kernel -> process handoff
-	yield  chan struct{} // process -> kernel handoff
+	next  func() (struct{}, bool) // kernel -> process switch
+	stop  func()                  // unwinds a parked body (Kernel.Close)
+	yield func(struct{}) bool     // process -> kernel switch; false once closed
 
 	terminated  bool
 	runnable    bool // currently running or has a pending activation
 	wakePending bool
-	wakeTimer   Timer // handle of the pending wake event, for retirement
 	blockReason string
 	blockedAt   Time // when the current block began (valid while blocked)
-
-	// OnPanic, if set, is invoked (in the kernel's goroutine) when the
-	// process body panics. The default is to re-panic with the process name.
-	OnPanic func(v any)
-
-	panicVal any
-	panicked bool
 }
+
+// closed is the sentinel block panics with once Kernel.Close has stopped a
+// parked process: it unwinds the body, running its defers, and is swallowed
+// when it reaches the top of the coroutine.
+type closed struct{}
 
 // Spawn creates a process named name running body and schedules its first
 // activation at the current virtual time. The body starts parked; it will not
 // run before control returns to the kernel loop.
 func (k *Kernel) Spawn(name string, body func(p *Process)) *Process {
-	p := &Process{
-		k:      k,
-		name:   name,
-		id:     len(k.procs),
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Process{k: k, name: name, id: len(k.procs)}
 	k.procs = append(k.procs, p)
-	go func() {
-		<-p.resume
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if v := recover(); v != nil {
-				p.panicked = true
-				p.panicVal = v
-			}
 			p.terminated = true
-			p.yield <- struct{}{}
+			if v := recover(); v != nil && v != (closed{}) {
+				panic(fmt.Sprintf("pearl: %v panicked: %v", p, v))
+			}
 		}()
 		body(p)
-	}()
-	p.scheduleWake(0)
+	})
+	p.unpark()
 	return p
 }
 
-// SpawnAt is Spawn with the first activation delayed until absolute time t.
-func (k *Kernel) SpawnAt(t Time, name string, body func(p *Process)) *Process {
-	p := k.Spawn(name, body)
-	// Spawn scheduled an immediate wake; move it.
-	// (The pending wake is always the immediate one here.)
-	return p.rescheduleFirst(t)
-}
-
-func (p *Process) rescheduleFirst(t Time) *Process {
-	// Retire the immediate activation scheduled by Spawn and reschedule at t.
-	// Only valid right after Spawn, before the kernel loop runs: the stale
-	// event is cancelled (discarded unfired, never counted), not left dead in
-	// the queue.
-	p.wakeTimer.Cancel()
-	p.wakePending = false
-	p.runnable = false
-	p.scheduleWakeAt(t)
-	return p
+// Close stops every process that has not terminated: a parked body unwinds
+// from its blocking call with its defers run, and a body that never started
+// never runs. Without it a parked process keeps its coroutine, and through
+// it the model, alive for the rest of the program. Call it once the run and
+// its diagnostics (Blocked) are done; a closed kernel must not run again.
+func (k *Kernel) Close() {
+	for _, p := range k.procs {
+		k.current = p // a defer that blocks again unwinds too
+		p.stop()
+		p.terminated = true
+	}
+	k.current = nil
 }
 
 // Name returns the process name.
@@ -99,8 +88,9 @@ func (p *Process) String() string {
 	return fmt.Sprintf("process %q (#%d)", p.name, p.id)
 }
 
-// activate hands control to the process goroutine and waits for it to block
-// or terminate. Must be called from the kernel loop (event context).
+// activate resumes the process coroutine until it blocks or terminates. A
+// panic in the body propagates from here, naming the process. Must be called
+// from the kernel loop (event context).
 func (k *Kernel) activate(p *Process) {
 	if p.terminated {
 		return
@@ -112,20 +102,14 @@ func (k *Kernel) activate(p *Process) {
 	k.current = p
 	p.runnable = true
 	p.blockReason = ""
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
 	k.current = prev
-	if p.panicked {
-		if p.OnPanic != nil {
-			p.OnPanic(p.panicVal)
-		} else {
-			panic(fmt.Sprintf("pearl: %v panicked: %v", p, p.panicVal))
-		}
-	}
 }
 
-// block parks the process goroutine and returns control to the kernel. It
-// returns when the process is next activated.
+// block yields control to the kernel. It returns when the process is next
+// activated — by the event a Hold scheduled, or by unpark for
+// Receive/Acquire/Await — and unwinds the body instead once the kernel is
+// closed.
 func (p *Process) block(reason string) {
 	if p.k.current != p {
 		panic(fmt.Sprintf("pearl: %v blocking while not the running process", p))
@@ -133,27 +117,11 @@ func (p *Process) block(reason string) {
 	p.runnable = false
 	p.blockReason = reason
 	p.blockedAt = p.k.now
-	p.yield <- struct{}{}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		panic(closed{})
+	}
 	p.runnable = true
 	p.blockReason = ""
-}
-
-// scheduleWake schedules an activation of p after delay d, unless an
-// activation is already pending (wakes are idempotent).
-func (p *Process) scheduleWake(d Time) {
-	p.scheduleWakeAt(p.k.now + d)
-}
-
-func (p *Process) scheduleWakeAt(t Time) {
-	if p.wakePending || p.terminated {
-		return
-	}
-	p.wakePending = true
-	p.runnable = true
-	// A typed wake event: no closure, no allocation; the kernel clears
-	// wakePending and activates p when it fires.
-	p.wakeTimer = p.k.schedule(t, evWake, nil, p)
 }
 
 // Hold advances the process's virtual time by d cycles, yielding control to
@@ -168,9 +136,15 @@ func (p *Process) Hold(d Time) {
 	p.block("hold")
 }
 
-// park blocks until some other component calls unpark (via scheduleWake).
-// It is the building block of Receive/Acquire/Await.
-func (p *Process) park(reason string) { p.block(reason) }
-
-// unpark schedules the process to resume at the current virtual time.
-func (p *Process) unpark() { p.scheduleWake(0) }
+// unpark schedules the process to resume at the current virtual time, unless
+// an activation is already pending (wakes are idempotent).
+func (p *Process) unpark() {
+	if p.wakePending || p.terminated {
+		return
+	}
+	p.wakePending = true
+	p.runnable = true
+	// A typed wake event: no closure, no allocation; the kernel clears
+	// wakePending and activates p when it fires.
+	p.k.schedule(p.k.now, evWake, nil, p)
+}

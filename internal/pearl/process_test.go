@@ -42,16 +42,6 @@ func TestProcessTermination(t *testing.T) {
 	}
 }
 
-func TestSpawnAt(t *testing.T) {
-	k := NewKernel()
-	var started Time = -1
-	k.SpawnAt(25, "late", func(p *Process) { started = p.Now() })
-	k.Run()
-	if started != 25 {
-		t.Fatalf("started at %d, want 25", started)
-	}
-}
-
 func TestTwoProcessesInterleave(t *testing.T) {
 	k := NewKernel()
 	var order []string
@@ -86,21 +76,59 @@ func TestProcessPanicPropagates(t *testing.T) {
 		if v == nil {
 			t.Fatal("expected panic from process")
 		}
-		if !strings.Contains(fmt.Sprint(v), "kaput") {
-			t.Fatalf("panic value %v does not mention cause", v)
+		if msg := fmt.Sprint(v); !strings.Contains(msg, "kaput") || !strings.Contains(msg, `"boom"`) {
+			t.Fatalf("panic value %q does not name the process and the cause", msg)
 		}
 	}()
 	k.Run()
 }
 
-func TestProcessOnPanicHandler(t *testing.T) {
+// TestCloseUnwindsParkedProcesses checks that Close unwinds a parked body
+// through its defers, leaves a never-started body unrun, and marks both
+// terminated.
+func TestCloseUnwindsParkedProcesses(t *testing.T) {
 	k := NewKernel()
-	var handled any
-	p := k.Spawn("boom", func(p *Process) { panic("contained") })
-	p.OnPanic = func(v any) { handled = v }
+	mb := k.NewMailbox("never")
+	var unwound, resumed bool
+	parked := k.Spawn("parked", func(p *Process) {
+		defer func() { unwound = true }()
+		p.Receive(mb)
+		resumed = true
+	})
 	k.Run()
-	if handled != "contained" {
-		t.Fatalf("OnPanic got %v, want contained", handled)
+	late := k.Spawn("late", func(p *Process) { t.Error("never-started body ran") })
+	k.Close()
+	if !unwound || resumed {
+		t.Fatalf("unwound = %v, resumed = %v; want the defer run and Receive not returned", unwound, resumed)
+	}
+	if !parked.Terminated() || !late.Terminated() {
+		t.Fatal("closed processes not terminated")
+	}
+	if b := k.Blocked(); len(b) != 0 {
+		t.Fatalf("Blocked() = %v after Close", b)
+	}
+}
+
+// TestCloseWhilePanicking checks that Close, deferred around a Run that a
+// process panic aborts, still unwinds the other parked processes.
+func TestCloseWhilePanicking(t *testing.T) {
+	k := NewKernel()
+	var unwound bool
+	k.Spawn("parked", func(p *Process) {
+		defer func() { unwound = true }()
+		p.Receive(k.NewMailbox("never"))
+	})
+	k.Spawn("boom", func(p *Process) {
+		p.Hold(1)
+		panic("kaput")
+	})
+	func() {
+		defer func() { recover() }()
+		defer k.Close()
+		k.Run()
+	}()
+	if !unwound {
+		t.Fatal("parked process not unwound by a Close during a panic")
 	}
 }
 
@@ -147,11 +175,11 @@ func TestManyProcessesDeterministic(t *testing.T) {
 
 func TestHoldNegativePanics(t *testing.T) {
 	k := NewKernel()
-	var recovered any
-	p := k.Spawn("neg", func(p *Process) { p.Hold(-1) })
-	p.OnPanic = func(v any) { recovered = v }
+	k.Spawn("neg", func(p *Process) { p.Hold(-1) })
+	defer func() {
+		if v := recover(); !strings.Contains(fmt.Sprint(v), "negative duration") {
+			t.Fatalf("recovered %v, want the negative Hold panic", v)
+		}
+	}()
 	k.Run()
-	if recovered == nil {
-		t.Fatal("expected panic for negative Hold")
-	}
 }

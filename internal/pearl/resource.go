@@ -102,7 +102,7 @@ func (p *Process) Acquire(r *Resource) {
 	w := &resWaiter{p: p, since: p.k.now}
 	r.waiters = append(r.waiters, w)
 	for !w.granted {
-		p.park("acquire " + r.name)
+		p.block("acquire " + r.name)
 	}
 	r.waitCycles += p.k.now - w.since
 	r.acquires++

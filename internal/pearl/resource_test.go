@@ -220,16 +220,16 @@ func TestSynchronousCall(t *testing.T) {
 func TestCallDoubleReplyPanics(t *testing.T) {
 	k := NewKernel()
 	mb := k.NewMailbox("server")
-	var recovered any
-	srv := k.Spawn("server", func(p *Process) {
+	k.Spawn("server", func(p *Process) {
 		c := p.Receive(mb).(*CallMsg)
 		c.Reply(1)
 		c.Reply(2)
 	})
-	srv.OnPanic = func(v any) { recovered = v }
 	k.Spawn("client", func(p *Process) { p.Call(mb, 0) })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected double-reply panic")
+		}
+	}()
 	k.Run()
-	if recovered == nil {
-		t.Fatal("expected double-reply panic")
-	}
 }

@@ -2,6 +2,7 @@ package pearl
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -156,16 +157,33 @@ func TestShardGroupDaemonCounting(t *testing.T) {
 }
 
 // TestShardGroupPanicPropagates checks a model panic inside a shard worker
-// resurfaces on the caller.
+// resurfaces on the caller, both from an event callback and from a process
+// body, whose coroutine the worker goroutine resumes.
 func TestShardGroupPanicPropagates(t *testing.T) {
-	g := NewShardGroup(2, 5)
-	g.Kernel(1).At(3, func() { panic("boom") })
-	defer func() {
-		if r := recover(); r == nil {
-			t.Errorf("worker panic did not propagate")
-		}
-	}()
-	g.Run()
+	for _, tc := range []struct {
+		name  string
+		setup func(k *Kernel)
+		want  string
+	}{
+		{"event", func(k *Kernel) { k.At(3, func() { panic("boom") }) }, "boom"},
+		{"process", func(k *Kernel) {
+			k.Spawn("bomber", func(p *Process) {
+				p.Hold(3)
+				panic("boom")
+			})
+		}, `process "bomber" (#0) panicked: boom`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewShardGroup(2, 5)
+			tc.setup(g.Kernel(1))
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Errorf("recovered %v, want a panic containing %q", r, tc.want)
+				}
+			}()
+			g.Run()
+		})
+	}
 }
 
 // TestFinishAt checks clock alignment at the end of a group run and the
